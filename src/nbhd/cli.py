@@ -65,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pattern", required=True, help="live-cell coordinate file")
     p_sim.add_argument("--boundary", choices=["torus", "dead"], default="torus")
     p_sim.add_argument("--snapshot-every", type=int, default=None)
+    p_sim.set_defaults(sharp_k=False, sharp_r=False)
     return parser
 
 
@@ -76,27 +77,17 @@ def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     if args.diamond:
         if args.k is not None:
             parser.error("--k does not apply with --diamond")
-        if getattr(args, "sharp_k", False):
+        if args.sharp_k:
             parser.error("--sharp-k does not apply with --diamond")
-        return diamond(args.d, args.r, sharp_r=getattr(args, "sharp_r", False))
+        return diamond(args.d, args.r, sharp_r=args.sharp_r)
     if args.k is None:
         parser.error("--k is required unless --diamond is given")
     if not 1 <= args.k <= args.d:
         parser.error(f"--k must satisfy 1 <= k <= d, got k={args.k}, d={args.d}")
-    return k_radius(
-        args.d,
-        args.k,
-        args.r,
-        sharp_k=getattr(args, "sharp_k", False),
-        sharp_r=getattr(args, "sharp_r", False),
-    )
+    return k_radius(args.d, args.k, args.r, sharp_k=args.sharp_k, sharp_r=args.sharp_r)
 
 
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
-
-
-def _cmd_count(args: argparse.Namespace, spec: NeighborhoodSpec) -> int:
+def _cmd_count(spec: NeighborhoodSpec) -> int:
     if not counting.closed_form_available(spec):
         print(
             "note: no closed form for this spec; counting by brute-force box scan",
@@ -106,13 +97,15 @@ def _cmd_count(args: argparse.Namespace, spec: NeighborhoodSpec) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace, spec: NeighborhoodSpec) -> int:
+def _cmd_enumerate(spec: NeighborhoodSpec) -> int:
     for offset in enumerate_offsets(spec):
         print(format_offset(offset))
     return 0
 
 
-def _cmd_sequence(args: argparse.Namespace) -> int:
+def _cmd_sequence(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.terms < 1:
+        parser.error("--terms must be >= 1")
     seq_id = sequences.SequenceId(args.id)
     if args.bfile:
         sys.stdout.flush()
@@ -120,7 +113,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         sys.stdout.buffer.flush()
     else:
         for entry in sequences.generate(seq_id, args.terms):
-            print(entry.value)
+            print(sequences.format_term(entry.value))
     return 0
 
 
@@ -149,18 +142,17 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if args.snapshot_every is not None and args.snapshot_every < 1:
         parser.error("--snapshot-every must be >= 1")
     args.d = len(dims)
-    args.sharp_k = False
-    args.sharp_r = False
     spec = _spec_from_args(parser, args)
     try:
         rule = engine.parse_rule(args.rule)
     except ParseError as exc:
         parser.error(str(exc))
+    offsets = enumerate_offsets(spec)
+    rule.check_fits(len(offsets))
 
     cells = engine.load_pattern(args.pattern)
     boundary = engine.Boundary.TOROIDAL if args.boundary == "torus" else engine.Boundary.FIXED_DEAD
     grid = engine.make_grid(dims, boundary, cells)
-    offsets = enumerate_offsets(spec)
 
     every = args.snapshot_every
     for i in range(1, args.steps + 1):
@@ -173,34 +165,23 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return 0
 
 
-def execute(args: argparse.Namespace, parser: argparse.ArgumentParser | None = None) -> int:
-    """Run a parsed command; returns the process exit code."""
-    parser = parser or build_parser()
-    try:
-        if args.command == "count":
-            return _cmd_count(args, _spec_from_args(parser, args))
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, _spec_from_args(parser, args))
-        if args.command == "sequence":
-            return _cmd_sequence(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "simulate":
-            return _cmd_simulate(parser, args)
-        parser.error(f"unknown command {args.command!r}")
-    except (CapacityError, DomainError, DimensionError, BoundsError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return execute(args, parser)
+    try:
+        if args.command == "count":
+            return _cmd_count(_spec_from_args(parser, args))
+        if args.command == "enumerate":
+            return _cmd_enumerate(_spec_from_args(parser, args))
+        if args.command == "sequence":
+            return _cmd_sequence(parser, args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _cmd_simulate(parser, args)
+    except (CapacityError, DomainError, DimensionError, BoundsError, ParseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

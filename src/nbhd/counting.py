@@ -99,22 +99,11 @@ def diamond_sharp_count(d: int, r: int) -> int:
 
 
 def diamond_sharp_count_rec(d: int, r: int) -> int:
-    """Same value as diamond_sharp_count via the three-term scheme
-    T(d, r) = T(d-1, r) + T(d-1, r-1) + T(d, r-1),
-    with T(d, 0) = 1 for d >= 0 and T(0, r) = 0 for r > 0."""
-    if d < 0 or r < 0:
-        raise DomainError(f"need d >= 0 and r >= 0, got d={d}, r={r}")
-    if r == 0:
-        return 1
-    if d == 0:
-        return 0
-    row = [1] + [0] * r  # d = 0
-    for _ in range(d):
-        new = [1] * (r + 1)
-        for j in range(1, r + 1):
-            new[j] = row[j] + row[j - 1] + new[j - 1]
-        row = new
-    return row[r]
+    """Same value as diamond_sharp_count as a difference of Delannoy numbers,
+    T(d, r) = D(d, r) - D(d, r-1): the filled ball of radius r minus the one
+    of radius r-1.  T(d, 0) = 1 for d >= 0 (the center alone)."""
+    row = _delannoy_row(d, r)
+    return row[r] - row[r - 1] if r else 1
 
 
 def diamond_count(d: int, r: int) -> int:
@@ -126,13 +115,8 @@ def diamond_count(d: int, r: int) -> int:
     )
 
 
-def delannoy(d: int, r: int) -> int:
-    """Delannoy number: lattice paths from (0,0) to (d,r) with steps
-    (1,0), (0,1), (1,1).  Equals diamond_count(d, r) + 1 (the center cell).
-
-    Base cases are D(d, 0) = D(0, r) = 1; the recurrence is
-    D(d, r) = D(d-1, r) + D(d-1, r-1) + D(d, r-1).
-    """
+def _delannoy_row(d: int, r: int) -> list[int]:
+    # [D(d, 0), ..., D(d, r)], by the recurrence in delannoy's docstring
     if d < 0 or r < 0:
         raise DomainError(f"need d >= 0 and r >= 0, got d={d}, r={r}")
     row = [1] * (r + 1)
@@ -141,7 +125,17 @@ def delannoy(d: int, r: int) -> int:
         for j in range(1, r + 1):
             new[j] = row[j] + row[j - 1] + new[j - 1]
         row = new
-    return row[r]
+    return row
+
+
+def delannoy(d: int, r: int) -> int:
+    """Delannoy number: lattice paths from (0,0) to (d,r) with steps
+    (1,0), (0,1), (1,1).  Equals diamond_count(d, r) + 1 (the center cell).
+
+    Base cases are D(d, 0) = D(0, r) = 1; the recurrence is
+    D(d, r) = D(d-1, r) + D(d-1, r-1) + D(d, r-1).
+    """
+    return _delannoy_row(d, r)[r]
 
 
 def k_radius_count(d: int, k: int, r: int) -> int:

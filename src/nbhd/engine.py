@@ -57,6 +57,12 @@ class Rule:
             if n < 0:
                 raise DomainError(f"rule counts must be nonnegative, got {n}")
 
+    def check_fits(self, size: int) -> None:
+        """Raise DomainError when a count exceeds the neighborhood size."""
+        for n in self.birth | self.survival:
+            if n > size:
+                raise DomainError(f"rule count {n} exceeds the neighborhood size {size}")
+
 
 def parse_rule(text: str) -> Rule:
     """Parse 'B3/S23' style rules.
@@ -145,11 +151,7 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
     for off in offsets:
         if len(off) != d:
             raise DimensionError(f"offset {off} does not match grid dimension {d}")
-    for n in rule.birth | rule.survival:
-        if n > len(offsets):
-            raise DomainError(
-                f"rule count {n} exceeds the neighborhood size {len(offsets)}"
-            )
+    rule.check_fits(len(offsets))
 
     states = grid.states
     counts = np.zeros(grid.dims, dtype=np.int32)
@@ -160,13 +162,14 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
         else:
             counts += _shifted_fill_dead(states, off)
 
-    born = np.zeros(len(offsets) + 1, dtype=bool)
-    born[[n for n in rule.birth if n <= len(offsets)]] = True
-    survives = np.zeros(len(offsets) + 1, dtype=bool)
-    survives[[n for n in rule.survival if n <= len(offsets)]] = True
-
-    next_states = np.where(states.astype(bool), survives[counts], born[counts])
-    return Grid(grid.dims, next_states.astype(np.uint8), grid.boundary)
+    # table[count, state] is the next state; gathered flat at 2*count + state,
+    # in place on counts (int32, so the index never overflows the uint8 states)
+    table = np.zeros((len(offsets) + 1, 2), dtype=np.uint8)
+    table[list(rule.birth), 0] = 1
+    table[list(rule.survival), 1] = 1
+    counts *= 2
+    counts += states
+    return Grid(grid.dims, table.ravel()[counts], grid.boundary)
 
 
 def run(
@@ -199,8 +202,12 @@ def load_pattern(source: str | Path | Iterable[str]) -> list[tuple[int, ...]]:
     """Live-cell coordinates from a pattern file: one comma-separated tuple
     per line, '#' lines and blank lines ignored."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as handle:
-            return load_pattern(handle.readlines())
+        try:
+            with open(source, "r", encoding="ascii") as handle:
+                lines = handle.readlines()
+        except UnicodeDecodeError:
+            raise ParseError(f"{source}: pattern file is not ASCII text") from None
+        return load_pattern(lines)
     cells = []
     for lineno, line in enumerate(source, start=1):
         text = line.strip()

@@ -95,91 +95,6 @@ def narrow_von_neumann(dimension: int, r: int) -> NeighborhoodSpec:
 
 
 # --------------------------------------------------------------------------
-# Distances
-
-
-@dataclass(frozen=True)
-class DistanceKind:
-    """One of the lattice metrics: manhattan, chebyshev, or minkowski(p)."""
-
-    name: str
-    p: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.name not in ("manhattan", "chebyshev", "minkowski"):
-            raise DomainError(f"unknown distance kind {self.name!r}")
-        if self.name == "minkowski":
-            if self.p is None or self.p < 1:
-                raise DomainError("minkowski needs a positive integer p")
-        elif self.p is not None:
-            raise DomainError(f"{self.name} takes no p")
-
-
-MANHATTAN = DistanceKind("manhattan")
-CHEBYSHEV = DistanceKind("chebyshev")
-
-
-def minkowski(p: int) -> DistanceKind:
-    return DistanceKind("minkowski", p)
-
-
-def _deltas(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) != len(b):
-        raise DimensionError(f"offset lengths differ: {len(a)} vs {len(b)}")
-    if not a:
-        raise DimensionError("offsets must have at least one component")
-    return [abs(x - y) for x, y in zip(a, b)]
-
-
-def _integer_root(n: int, p: int) -> int:
-    """Largest integer x with x**p <= n.  Exact for arbitrarily large n."""
-    if n < 0:
-        raise DomainError("negative radicand")
-    if p == 1 or n in (0, 1):
-        return n
-    x = int(round(n ** (1.0 / p)))
-    while x > 0 and x**p > n:
-        x -= 1
-    while (x + 1) ** p <= n:
-        x += 1
-    return x
-
-
-def distance(kind: DistanceKind, a: Sequence[int], b: Sequence[int]) -> int | float:
-    """Distance between two lattice points under the given metric.
-
-    Manhattan and Chebyshev values are exact integers.  Minkowski(p) returns
-    an exact integer whenever the p-th root is exact and a float otherwise;
-    for membership decisions use within_distance, which never touches
-    floating point.
-    """
-    deltas = _deltas(a, b)
-    if kind.name == "manhattan":
-        return sum(deltas)
-    if kind.name == "chebyshev":
-        return max(deltas)
-    power = sum(delta ** kind.p for delta in deltas)
-    root = _integer_root(power, kind.p)
-    if root ** kind.p == power:
-        return root
-    return power ** (1.0 / kind.p)
-
-
-def within_distance(kind: DistanceKind, a: Sequence[int], b: Sequence[int], r: int) -> bool:
-    """Whether distance(kind, a, b) <= r, decided in exact integer arithmetic.
-
-    Minkowski(p) compares sum(|delta|**p) against r**p so that membership
-    never depends on floating-point roots.
-    """
-    deltas = _deltas(a, b)
-    if kind.name == "manhattan":
-        return sum(deltas) <= r
-    if kind.name == "chebyshev":
-        return max(deltas) <= r
-    return sum(delta ** kind.p for delta in deltas) <= r ** kind.p
-
-
-# --------------------------------------------------------------------------
 # Membership and enumeration
 
 

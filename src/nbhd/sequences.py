@@ -8,9 +8,10 @@ no header.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import itertools
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .counting import binomial, diamond_sharp_count, k_count
 from .errors import DomainError, ParseError
@@ -34,16 +35,6 @@ class Mismatch(NamedTuple):
     index: int
     expected: int  # value claimed by the reference
     actual: int  # value this package generates
-
-
-_OFFSETS = {
-    SequenceId.A005843: 0,
-    SequenceId.A024023: 0,
-    SequenceId.A013609: 0,
-    SequenceId.A265014: 1,
-    SequenceId.A266213: 1,
-    SequenceId.A008288: 0,
-}
 
 
 def _sharp_k_triangle() -> Iterator[int]:
@@ -83,20 +74,22 @@ def _delannoy_antidiagonals() -> Iterator[int]:
             yield value
 
 
-def _values(seq_id: SequenceId) -> Iterator[int]:
-    if seq_id is SequenceId.A005843:
-        return (2 * n for n in itertools.count())
-    if seq_id is SequenceId.A024023:
-        return (3**n - 1 for n in itertools.count())
-    if seq_id is SequenceId.A013609:
-        return _sharp_k_triangle()
-    if seq_id is SequenceId.A265014:
-        return _k_triangle()
-    if seq_id is SequenceId.A266213:
-        return _diamond_sharp_antidiagonals()
-    if seq_id is SequenceId.A008288:
-        return _delannoy_antidiagonals()
-    raise DomainError(f"unknown sequence id {seq_id!r}")
+# index of the first term, and a generator of the terms, per sequence
+_SEQUENCES: dict[SequenceId, tuple[int, Callable[[], Iterator[int]]]] = {
+    SequenceId.A005843: (0, lambda: (2 * n for n in itertools.count())),
+    SequenceId.A024023: (0, lambda: (3**n - 1 for n in itertools.count())),
+    SequenceId.A013609: (0, _sharp_k_triangle),
+    SequenceId.A265014: (1, _k_triangle),
+    SequenceId.A266213: (1, _diamond_sharp_antidiagonals),
+    SequenceId.A008288: (0, _delannoy_antidiagonals),
+}
+
+
+def _lookup(seq_id: SequenceId) -> tuple[int, Callable[[], Iterator[int]]]:
+    try:
+        return _SEQUENCES[seq_id]
+    except KeyError:
+        raise DomainError(f"unknown sequence id {seq_id!r}") from None
 
 
 def generate(seq_id: SequenceId, terms: int) -> list[SequenceEntry]:
@@ -104,17 +97,24 @@ def generate(seq_id: SequenceId, terms: int) -> list[SequenceEntry]:
     sequence's declared offset."""
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
-    offset = _OFFSETS.get(seq_id)
-    if offset is None:
-        raise DomainError(f"unknown sequence id {seq_id!r}")
-    values = itertools.islice(_values(seq_id), terms)
-    return [SequenceEntry(offset + i, v) for i, v in enumerate(values)]
+    offset, values = _lookup(seq_id)
+    return [SequenceEntry(offset + i, v) for i, v in enumerate(itertools.islice(values(), terms))]
+
+
+def format_term(value: int) -> str:
+    """Decimal digits of ``value``, exact at any size.
+
+    Goes through decimal.Decimal because str(int) refuses values above the
+    interpreter's int-to-str digit limit (4300 digits by default), which
+    A024023 passes near term 9015.
+    """
+    return str(decimal.Decimal(value))
 
 
 def emit_bfile(seq_id: SequenceId, terms: int, sink: IO[bytes]) -> None:
     """Write the sequence to ``sink`` in OEIS b-file format."""
     for index, value in generate(seq_id, terms):
-        sink.write(f"{index} {value}\n".encode("ascii"))
+        sink.write(f"{index} {format_term(value)}\n".encode("ascii"))
 
 
 def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
@@ -150,7 +150,7 @@ def diff_against_reference(
     ref_entries = parse_bfile(reference)
     if not ref_entries:
         return []
-    offset = _OFFSETS[seq_id]
+    offset, _ = _lookup(seq_id)
     last = max(e.index for e in ref_entries)
     if last < offset:
         return []

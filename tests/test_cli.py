@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from nbhd.cli import main
@@ -79,6 +81,18 @@ def test_sequence_plain_values(capsys):
     assert out.splitlines() == ["1", "1", "1", "1", "3", "1"]
 
 
+def test_sequence_plain_values_past_the_int_to_str_limit(capsys):
+    code, out, _ = run_cli(capsys, "sequence", "--id", "A024023", "--terms", "9100")
+    assert code == 0
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(3**9099 - 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert out.splitlines()[-1] == want
+
+
 def test_sequence_unknown_id_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sequence", "--id", "A000001", "--terms", "3"])
@@ -133,6 +147,40 @@ def test_simulate_missing_pattern_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_simulate_non_ascii_pattern_is_one_error_line(capsys, tmp_path):
+    pattern = tmp_path / "binary.txt"
+    pattern.write_bytes(b"1,2\n\xff\xfe\n")
+    code, out, err = run_cli(
+        capsys,
+        "simulate",
+        "--dims", "8,8",
+        "--k", "2",
+        "--rule", "B3/S23",
+        "--steps", "1",
+        "--pattern", str(pattern),
+    )
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(pattern) in err
+
+
+def test_simulate_checks_the_rule_before_reading_the_pattern(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--dims", "8,8",
+        "--k", "1",
+        "--rule", "B5/S23",
+        "--steps", "1",
+        "--pattern", str(tmp_path / "absent.txt"),
+    )
+    assert code == 1
+    assert "rule count 5 exceeds the neighborhood size 4" in err
+    assert "absent.txt" not in err
+
+
 def test_simulate_bad_rule_is_usage_error(tmp_path):
     pattern = tmp_path / "p.txt"
     pattern.write_text("0,0\n")
@@ -165,6 +213,8 @@ def test_simulate_bad_rule_is_usage_error(tmp_path):
         ["bogus"],
         ["simulate", "--dims", "8x8", "--k", "1", "--rule", "B3/S23",
          "--steps", "1", "--pattern", "p"],
+        ["sequence", "--id", "A005843", "--terms", "0"],
+        ["sequence", "--id", "A005843", "--terms", "-3"],
     ],
 )
 def test_usage_errors_exit_two(argv):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import life_step_reference
@@ -239,6 +241,24 @@ def test_three_dimensional_step_matches_reference_oracle():
     got = set(live_cells(step(grid, rule, offs)))
     want = life_step_reference(live, (4, 4, 4), rule.birth, rule.survival, offs)
     assert got == want
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_step_past_255_neighbours_matches_reference_oracle(boundary):
+    # |N| = 288: the rule table runs past any index that uint8 arithmetic holds
+    offs = enumerate_offsets(moore(2, 8))
+    rule = Rule(frozenset({0, *range(80, 90)}), frozenset({*range(75, 95), len(offs)}))
+    rng = np.random.default_rng(11)
+    soup = {tuple(int(v) for v in c) for c in np.argwhere(rng.random((20, 20)) < 0.3)}
+    full = set(itertools.product(range(20), repeat=2))
+    toroidal = boundary is Boundary.TOROIDAL
+    for live in (soup, full):
+        got = step(make_grid((20, 20), boundary, sorted(live)), rule, offs)
+        assert got.states.dtype == np.uint8
+        want = life_step_reference(
+            live, (20, 20), rule.birth, rule.survival, offs, toroidal=toroidal
+        )
+        assert set(live_cells(got)) == want
 
 
 # ---------------------------------------------------------------- text formats

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbhd import (
-    CHEBYSHEV,
-    MANHATTAN,
     CapacityError,
     DimensionError,
     DomainError,
@@ -16,16 +14,13 @@ from nbhd import (
     brute_force_count,
     contains,
     diamond,
-    distance,
     enumerate_offsets,
     format_offset,
     k_radius,
-    minkowski,
     moore,
     narrow_von_neumann,
     parse_offset,
     von_neumann,
-    within_distance,
 )
 
 
@@ -98,57 +93,6 @@ def test_full_k_equals_moore_box(d):
     assert got == box
 
 
-# ---------------------------------------------------------------- distances
-
-
-def test_distance_examples():
-    assert distance(MANHATTAN, (0, 0), (1, 1)) == 2
-    assert distance(CHEBYSHEV, (0, 0), (1, 1)) == 1
-    assert distance(MANHATTAN, (0, 0, 0), (2, -1, 0)) == 3
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        distance(MANHATTAN, (0, 0), (1, 2, 3))
-
-
-def test_minkowski_needs_positive_order():
-    with pytest.raises(DomainError):
-        minkowski(0)
-
-
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
-def test_minkowski_one_is_manhattan(vec):
-    origin = (0,) * len(vec)
-    assert distance(minkowski(1), origin, tuple(vec)) == distance(
-        MANHATTAN, origin, tuple(vec)
-    )
-
-
-@pytest.mark.parametrize("vec", [(3, 4), (1, 1, 1), (2, -5, 0, 7)])
-def test_minkowski_descends_toward_chebyshev(vec):
-    origin = (0,) * len(vec)
-    cheb = distance(CHEBYSHEV, origin, vec)
-    values = [distance(minkowski(p), origin, vec) for p in (1, 2, 4, 8, 16)]
-    for lo, hi in zip(values[1:], values):
-        assert lo <= hi
-    assert all(v >= cheb for v in values)
-
-
-def test_within_distance_is_exact_at_the_boundary():
-    # 3-4-5 triangle: no float round-trip may blur the equality case
-    assert within_distance(minkowski(2), (0, 0), (3, 4), 5)
-    assert not within_distance(minkowski(2), (0, 0), (3, 4), 4)
-    big = 10**20
-    assert within_distance(MANHATTAN, (0,), (big,), big)
-    assert not within_distance(MANHATTAN, (0,), (big,), big - 1)
-
-
-def test_exact_squares_come_back_as_int():
-    assert distance(minkowski(2), (0, 0), (3, 4)) == 5
-    assert isinstance(distance(minkowski(2), (0, 0), (3, 4)), int)
-
-
 # ---------------------------------------------------------------- membership
 
 
@@ -164,6 +108,12 @@ def test_contains_examples():
 )
 def test_center_is_never_a_member(spec):
     assert not contains(spec, (0,) * spec.dimension)
+
+
+def test_contains_is_exact_for_big_radii():
+    big = 10**20
+    assert contains(diamond(1, big), (big,))
+    assert not contains(diamond(1, big - 1), (big,))
 
 
 def test_contains_checks_dimension():

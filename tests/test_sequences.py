@@ -1,4 +1,5 @@
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,18 @@ def test_emit_examples():
     buf = io.BytesIO()
     emit_bfile(SequenceId.A024023, 2, buf)
     assert buf.getvalue() == b"0 0\n1 2\n"
+
+
+def test_emit_past_the_int_to_str_limit():
+    buf = io.BytesIO()
+    emit_bfile(SequenceId.A024023, 9100, buf)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"9099 {3**9099 - 1}".encode("ascii")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert buf.getvalue().splitlines()[-1] == want
 
 
 def test_first_at_most_k_row_value():
