@@ -17,7 +17,7 @@ from .errors import (
     DomainError,
     ParseError,
 )
-from .neighborhoods import NeighborhoodSpec, diamond, enumerate_offsets, format_offset, k_radius
+from .neighborhoods import Family, NeighborhoodSpec, enumerate_offsets, format_offset
 from .verification import run_verification
 
 
@@ -70,21 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> NeighborhoodSpec:
-    if args.d < 1:
-        parser.error("--d must be >= 1")
-    if args.r < 1:
-        parser.error("--r must be >= 1")
-    if args.diamond:
-        if args.k is not None:
-            parser.error("--k does not apply with --diamond")
-        if args.sharp_k:
-            parser.error("--sharp-k does not apply with --diamond")
-        return diamond(args.d, args.r, sharp_r=args.sharp_r)
-    if args.k is None:
-        parser.error("--k is required unless --diamond is given")
-    if not 1 <= args.k <= args.d:
-        parser.error(f"--k must satisfy 1 <= k <= d, got k={args.k}, d={args.d}")
-    return k_radius(args.d, args.k, args.r, sharp_k=args.sharp_k, sharp_r=args.sharp_r)
+    family = Family.DIAMOND if args.diamond else Family.K_RADIUS
+    try:
+        return NeighborhoodSpec(args.d, family, args.k, args.r, args.sharp_k, args.sharp_r)
+    except DomainError as exc:
+        parser.error(str(exc))
 
 
 def _cmd_count(spec: NeighborhoodSpec) -> int:

@@ -4,7 +4,9 @@ A step computes every cell's next state from the previous generation only
 (double buffering), so the result is deterministic and independent of any
 internal evaluation order.  Neighbor counts are taken per offset: on a torus
 smaller than the neighborhood span the same physical cell can be seen through
-several offsets and is counted once per offset.
+several offsets and is counted once per offset.  Boundaries are handled by one
+padded copy of the grid per step (wrapped on a torus, dead cells outside a
+fixed-dead grid), so every offset is added as a view of that copy.
 
 Grids are immutable values from the caller's perspective: step always
 returns a fresh grid and never writes to an existing one.
@@ -13,6 +15,7 @@ returns a fresh grid and never writes to an existing one.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +23,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, DimensionError, DomainError, ParseError
-from .neighborhoods import Offset, format_offset, parse_offset
+from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
+from .neighborhoods import DEFAULT_CELL_CAP, Offset, format_offset, parse_offset
 
 
 class Boundary(enum.Enum):
@@ -103,10 +106,13 @@ def make_grid(
     boundary: Boundary = Boundary.TOROIDAL,
     live_cells: Iterable[Sequence[int]] = (),
 ) -> Grid:
-    """A grid with exactly the listed cells live."""
+    """A grid with exactly the listed cells live, of at most DEFAULT_CELL_CAP cells."""
     dims = tuple(int(n) for n in dims)
     if not dims or any(n < 1 for n in dims):
         raise DomainError(f"grid dims must be positive, got {dims}")
+    cells = math.prod(dims)
+    if cells > DEFAULT_CELL_CAP:
+        raise CapacityError(f"grid of {cells} cells would exceed the cap of {DEFAULT_CELL_CAP}")
     states = np.zeros(dims, dtype=np.uint8)
     for cell in live_cells:
         cell = tuple(int(c) for c in cell)
@@ -126,20 +132,6 @@ def live_cells(grid: Grid) -> list[tuple[int, ...]]:
     return [tuple(int(c) for c in cell) for cell in np.argwhere(grid.states)]
 
 
-def _shifted_fill_dead(states: np.ndarray, offset: Offset) -> np.ndarray:
-    # out[x] = states[x + offset], zero outside the grid
-    out = np.zeros_like(states)
-    src, dst = [], []
-    for n, o in zip(states.shape, offset):
-        lo, hi = max(0, -o), min(n, n - o)
-        if lo >= hi:
-            return out
-        dst.append(slice(lo, hi))
-        src.append(slice(lo + o, hi + o))
-    out[tuple(dst)] = states[tuple(src)]
-    return out
-
-
 def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
     """One synchronous update.
 
@@ -153,14 +145,21 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
             raise DimensionError(f"offset {off} does not match grid dimension {d}")
     rule.check_fits(len(offsets))
 
-    states = grid.states
-    counts = np.zeros(grid.dims, dtype=np.int32)
-    axes = tuple(range(d))
-    for off in offsets:
-        if grid.boundary is Boundary.TOROIDAL:
-            counts += np.roll(states, shift=tuple(-o for o in off), axis=axes)
-        else:
-            counts += _shifted_fill_dead(states, off)
+    # keep every pad within its axis: on a torus fold each component into
+    # [-n//2, n - n//2); on a fixed-dead grid drop an offset that reaches a
+    # whole axis length, since it reads only dead cells
+    dims, states = grid.dims, grid.states
+    if grid.boundary is Boundary.TOROIDAL:
+        mode = "wrap"
+        near = [tuple((o + n // 2) % n - n // 2 for o, n in zip(off, dims)) for off in offsets]
+    else:
+        mode = "constant"
+        near = [off for off in offsets if all(abs(o) < n for o, n in zip(off, dims))]
+    reach = [max((abs(off[i]) for off in near), default=0) for i in range(d)]
+    padded = np.pad(states, [(p, p) for p in reach], mode=mode)
+    counts = np.zeros(dims, dtype=np.int32)
+    for off in near:
+        counts += padded[tuple(slice(p + o, p + o + n) for o, p, n in zip(off, reach, dims))]
 
     # table[count, state] is the next state; gathered flat at 2*count + state,
     # in place on counts (int32, so the index never overflows the uint8 states)

@@ -27,9 +27,10 @@ from .errors import CapacityError, DimensionError, DomainError, ParseError
 
 Offset = tuple[int, ...]
 
-# Safety rails for enumeration and box scans; overridable per call.
+# Safety rails for enumeration, box scans and grids.
 DEFAULT_OFFSET_CAP = 2**24
 DEFAULT_BOX_CAP = 2**26
+DEFAULT_CELL_CAP = 2**28  # a step holds about 7 bytes per cell
 
 
 class Family(enum.Enum):
@@ -166,35 +167,35 @@ def _members(spec: NeighborhoodSpec) -> Iterator[Offset]:
                 yield _place(d, positions, values)
 
 
-def enumerate_offsets(spec: NeighborhoodSpec, *, offset_cap: int | None = None) -> list[Offset]:
+def enumerate_offsets(spec: NeighborhoodSpec) -> list[Offset]:
     """All member offsets of ``spec`` in lexicographic order.
 
     The first component is most significant and each component ranges over
     -r..r.  The result contains no duplicates and never the zero offset, and
     its length equals count(spec).  Raises CapacityError when count(spec)
-    exceeds the cap (default 2**24 offsets).
+    exceeds DEFAULT_OFFSET_CAP (2**24 offsets).
     """
-    cap = DEFAULT_OFFSET_CAP if offset_cap is None else offset_cap
     from .counting import count  # counting imports this module; import at call time
 
     total = count(spec)
-    if total > cap:
-        raise CapacityError(f"{total} offsets would exceed the cap of {cap}")
+    if total > DEFAULT_OFFSET_CAP:
+        raise CapacityError(f"{total} offsets would exceed the cap of {DEFAULT_OFFSET_CAP}")
     return sorted(_members(spec))
 
 
-def brute_force_count(spec: NeighborhoodSpec, *, box_cap: int | None = None) -> int:
+def brute_force_count(spec: NeighborhoodSpec) -> int:
     """Count members by scanning every point of the box [-r, r]^d.
 
     Deliberately independent of every closed-form formula; this is the
     oracle the counting module is checked against.  Raises CapacityError
-    when the box holds more than the cap (default 2**26 points).
+    when the box holds more than DEFAULT_BOX_CAP (2**26 points).
     """
-    cap = DEFAULT_BOX_CAP if box_cap is None else box_cap
     d, r = spec.dimension, spec.r
     box = (2 * r + 1) ** d
-    if box > cap:
-        raise CapacityError(f"box of {box} lattice points would exceed the cap of {cap}")
+    if box > DEFAULT_BOX_CAP:
+        raise CapacityError(
+            f"box of {box} lattice points would exceed the cap of {DEFAULT_BOX_CAP}"
+        )
     return sum(
         1 for delta in itertools.product(range(-r, r + 1), repeat=d) if contains(spec, delta)
     )

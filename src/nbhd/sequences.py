@@ -11,6 +11,7 @@ from __future__ import annotations
 import decimal
 import enum
 import itertools
+import re
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .counting import binomial, diamond_sharp_count, k_count
@@ -132,10 +133,10 @@ def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
         fields = line.split()
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected 'n a(n)', got {line!r}")
-        try:
-            entries.append(SequenceEntry(int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer field in {line!r}") from None
+        if not all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
+            raise ParseError(f"line {lineno}: non-integer field in {line!r}")
+        # through Decimal, the inverse of format_term: int(str) stops at 4300 digits
+        entries.append(SequenceEntry(*(int(decimal.Decimal(f)) for f in fields)))
     return entries
 
 

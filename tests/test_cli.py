@@ -181,6 +181,26 @@ def test_simulate_checks_the_rule_before_reading_the_pattern(capsys, tmp_path):
     assert "absent.txt" not in err
 
 
+@pytest.mark.parametrize(
+    "dims", ["100000,100000,1000", "99999999999999999999,2", "1099511627776,1099511627776"]
+)
+def test_simulate_oversized_dims_is_one_error_line(capsys, tmp_path, dims):
+    pattern = tmp_path / "p.txt"
+    pattern.write_text(",".join("0" for _ in dims.split(",")) + "\n")
+    code, out, err = run_cli(
+        capsys,
+        "simulate",
+        "--dims", dims,
+        "--k", "1",
+        "--rule", "B1/S",
+        "--steps", "1",
+        "--pattern", str(pattern),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_simulate_bad_rule_is_usage_error(tmp_path):
     pattern = tmp_path / "p.txt"
     pattern.write_text("0,0\n")

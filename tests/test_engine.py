@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from nbhd import (
     Boundary,
     BoundsError,
+    CapacityError,
     DimensionError,
     DomainError,
     ParseError,
     Rule,
     count,
+    diamond,
     enumerate_offsets,
     format_rule,
     k_radius,
@@ -21,6 +23,7 @@ from nbhd import (
     load_pattern,
     make_grid,
     moore,
+    narrow_von_neumann,
     parse_rule,
     population,
     render_snapshot,
@@ -52,6 +55,8 @@ def test_make_grid_validates():
         make_grid((3, 3), live_cells=[(-1, 0)])
     with pytest.raises(DimensionError):
         make_grid((3, 3), live_cells=[(1, 1, 1)])
+    with pytest.raises(CapacityError):
+        make_grid((2**40, 2**40))
 
 
 def test_live_cells_round_trips():
@@ -259,6 +264,41 @@ def test_step_past_255_neighbours_matches_reference_oracle(boundary):
             live, (20, 20), rule.birth, rule.survival, offs, toroidal=toroidal
         )
         assert set(live_cells(got)) == want
+
+
+@st.composite
+def small_worlds(draw):
+    # every axis as short as 1, below the neighborhood span 2r + 1
+    d = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    family = draw(st.sampled_from([moore, diamond, narrow_von_neumann]))
+    offs = enumerate_offsets(family(d, draw(st.integers(1, 3))))
+    live = draw(st.sets(st.tuples(*(st.integers(0, n - 1) for n in dims))))
+    counts = st.sets(st.integers(0, len(offs)), max_size=6)
+    return dims, offs, live, Rule(draw(counts), draw(counts))
+
+
+@settings(deadline=None, max_examples=60)
+@given(world=small_worlds(), boundary=st.sampled_from(list(Boundary)))
+def test_step_on_axes_shorter_than_the_span_matches_reference_oracle(world, boundary):
+    dims, offs, live, rule = world
+    toroidal = boundary is Boundary.TOROIDAL
+    got = set(live_cells(step(make_grid(dims, boundary, sorted(live)), rule, offs)))
+    want = life_step_reference(live, dims, rule.birth, rule.survival, offs, toroidal=toroidal)
+    assert got == want
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_step_with_far_offsets_matches_reference_oracle(boundary):
+    # offsets far past every axis: a torus folds them, a fixed-dead grid reads 0
+    offs = [(10**9, 0, 0), (0, -(10**9) - 1, 0), *enumerate_offsets(von_neumann(3))]
+    rule = Rule(frozenset({1, 2}), frozenset({1, 3}))
+    rng = np.random.default_rng(3)
+    live = {tuple(int(v) for v in c) for c in np.argwhere(rng.random((4, 3, 5)) < 0.4)}
+    toroidal = boundary is Boundary.TOROIDAL
+    got = set(live_cells(step(make_grid((4, 3, 5), boundary, sorted(live)), rule, offs)))
+    want = life_step_reference(live, (4, 3, 5), rule.birth, rule.survival, offs, toroidal=toroidal)
+    assert got == want
 
 
 # ---------------------------------------------------------------- text formats

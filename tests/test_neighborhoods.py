@@ -183,12 +183,12 @@ def test_enumeration_sorted_unique_and_valid(spec):
 
 def test_enumeration_cap():
     with pytest.raises(CapacityError):
-        enumerate_offsets(moore(3), offset_cap=5)
+        enumerate_offsets(moore(16))  # 3**16 - 1 offsets, refused before any is made
 
 
 def test_box_scan_cap():
     with pytest.raises(CapacityError):
-        brute_force_count(moore(2, 10), box_cap=100)
+        brute_force_count(moore(2, 5000))  # 10001**2 points, refused before the scan
 
 
 def test_high_dimension_small_count_stays_fast():

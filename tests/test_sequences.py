@@ -78,6 +78,7 @@ def test_emit_past_the_int_to_str_limit():
     finally:
         sys.set_int_max_str_digits(saved)
     assert buf.getvalue().splitlines()[-1] == want
+    assert diff_against_reference(SequenceId.A024023, io.BytesIO(buf.getvalue())) == []
 
 
 def test_first_at_most_k_row_value():
@@ -97,9 +98,13 @@ def test_parse_skips_comments_and_blanks():
     assert parse_bfile(io.BytesIO(text)) == [(0, 1), (1, 5)]
 
 
-def test_parse_reports_line_numbers():
+@pytest.mark.parametrize(
+    "line", [b"not a pair", b"1 1.5", b"1 1e3", b"1 NaN", b"1 Infinity"],
+    ids=["not-a-pair", "1.5", "1e3", "NaN", "Infinity"],
+)
+def test_parse_reports_line_numbers(line):
     with pytest.raises(ParseError, match="line 2"):
-        parse_bfile(io.BytesIO(b"0 1\nnot a pair\n"))
+        parse_bfile(io.BytesIO(b"0 1\n" + line + b"\n"))
 
 
 def test_self_diff_is_empty():
