@@ -15,16 +15,18 @@ returns a fresh grid and never writes to an existing one.
 from __future__ import annotations
 
 import enum
+import io
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
-from .neighborhoods import DEFAULT_CELL_CAP, Offset, format_offset, parse_offset
+from .neighborhoods import DEFAULT_CELL_CAP, Offset, format_offset
 
 
 class Boundary(enum.Enum):
@@ -104,24 +106,49 @@ def format_rule(rule: Rule) -> str:
 def make_grid(
     dims: Sequence[int],
     boundary: Boundary = Boundary.TOROIDAL,
-    live_cells: Iterable[Sequence[int]] = (),
+    live_cells: np.ndarray | Iterable[Sequence[int]] = (),
 ) -> Grid:
-    """A grid with exactly the listed cells live, of at most DEFAULT_CELL_CAP cells."""
+    """A grid with exactly the listed cells live, of at most DEFAULT_CELL_CAP cells.
+
+    ``live_cells`` is an (n, d) integer array, as load_pattern returns, or
+    any iterable of coordinate sequences; zero rows mean no live cells,
+    whatever their width.  A cell with other than ``len(dims)`` components
+    raises DimensionError; the first cell outside the grid (a coordinate
+    outside int64 included) raises BoundsError.
+    """
     dims = tuple(int(n) for n in dims)
     if not dims or any(n < 1 for n in dims):
         raise DomainError(f"grid dims must be positive, got {dims}")
     cells = math.prod(dims)
     if cells > DEFAULT_CELL_CAP:
         raise CapacityError(f"grid of {cells} cells would exceed the cap of {DEFAULT_CELL_CAP}")
+    if not isinstance(live_cells, np.ndarray):
+        live_cells = list(live_cells)
+    try:
+        coords = np.asarray(live_cells, dtype=np.int64)
+    except (ValueError, OverflowError):
+        # ragged cells or a coordinate outside int64: name the first bad cell
+        for cell in live_cells:
+            _check_cell(tuple(int(c) for c in cell), dims)
+        raise
     states = np.zeros(dims, dtype=np.uint8)
-    for cell in live_cells:
-        cell = tuple(int(c) for c in cell)
-        if len(cell) != len(dims):
-            raise DimensionError(f"cell {cell} does not match grid dimension {len(dims)}")
-        if any(not 0 <= c < n for c, n in zip(cell, dims)):
-            raise BoundsError(f"cell {cell} outside grid of dims {dims}")
-        states[cell] = 1
+    if len(coords):
+        if coords.ndim != 2:
+            raise DimensionError(f"live cells must be coordinate sequences, got shape {coords.shape}")
+        if coords.shape[1] != len(dims):
+            _check_cell(tuple(coords[0].tolist()), dims)
+        outside = ((coords < 0) | (coords >= dims)).any(axis=1)
+        if outside.any():
+            _check_cell(tuple(coords[outside.argmax()].tolist()), dims)
+        states[tuple(coords.T)] = 1
     return Grid(dims, states, boundary)
+
+
+def _check_cell(cell: tuple[int, ...], dims: tuple[int, ...]) -> None:
+    if len(cell) != len(dims):
+        raise DimensionError(f"cell {cell} does not match grid dimension {len(dims)}")
+    if any(not 0 <= c < n for c, n in zip(cell, dims)):
+        raise BoundsError(f"cell {cell} outside grid of dims {dims}")
 
 
 def population(grid: Grid) -> int:
@@ -129,7 +156,7 @@ def population(grid: Grid) -> int:
 
 
 def live_cells(grid: Grid) -> list[tuple[int, ...]]:
-    return [tuple(int(c) for c in cell) for cell in np.argwhere(grid.states)]
+    return list(map(tuple, np.argwhere(grid.states).tolist()))
 
 
 def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
@@ -197,26 +224,79 @@ def run(
 # Pattern files and snapshots
 
 
-def load_pattern(source: str | Path | Iterable[str]) -> list[tuple[int, ...]]:
-    """Live-cell coordinates from a pattern file: one comma-separated tuple
-    per line, '#' lines and blank lines ignored."""
+def load_pattern(source: str | Path | Iterable[str]) -> np.ndarray:
+    """Live-cell coordinates from a pattern file, as an (n, d) int64 array.
+
+    ``source`` is a path or the file's lines, with no line break but at
+    their end.  Each line holds one cell as
+    comma-separated integers, each field ``[+-]?[0-9]+`` after stripping
+    whitespace and inside the int64 range.  '#' starts a comment anywhere on
+    a line and blank lines are ignored, so a file without cells gives zero
+    rows.  A bad field, a value outside int64, or a component count other
+    than the first cell's raises ParseError naming the line.
+    """
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="ascii") as handle:
-                lines = handle.readlines()
+                return _parse_pattern(handle)
         except UnicodeDecodeError:
             raise ParseError(f"{source}: pattern file is not ASCII text") from None
-        return load_pattern(lines)
-    cells = []
-    for lineno, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
+    return _parse_pattern(list(source))
+
+
+def _parse_pattern(lines: IO[str] | list[str]) -> np.ndarray:
+    try:
+        return _loadtxt(lines)
+    except ValueError:
+        pass
+    if isinstance(lines, list):
+        text = "\n".join(lines)
+    else:
+        lines.seek(0)
+        text = lines.read()
+        lines = text.split("\n")
+    try:
+        # loadtxt reads whitespace before a comment or the line's end as a
+        # cell with a bad field; blank such lines, and read a lone '\r' in a
+        # caller's line as a line break, as a file opened in text mode does
+        return _loadtxt(io.StringIO(_BLANK_LINE.sub("", text), newline=None))
+    except ValueError:
+        pass
+    # loadtxt's row numbers skip comment lines and change base with the kind
+    # of error, so read the lines again to name the offending one
+    _check_pattern_lines(lines)
+    raise ParseError("pattern is not one cell per line")
+
+
+def _loadtxt(source: IO[str] | list[str]) -> np.ndarray:
+    with warnings.catch_warnings():
+        # a file without cells is zero rows, not a warning on stderr
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
+
+
+_BLANK_LINE = re.compile(r"^[^\S\n]*(?:#.*)?$", re.MULTILINE)
+_FIELD = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_pattern_lines(lines: Iterable[str]) -> None:
+    """Raise ParseError naming the first line that breaks the pattern grammar."""
+    width = 0
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
             continue
-        try:
-            cells.append(parse_offset(text))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    return cells
+        fields = [f.strip() for f in text.split(",")]
+        for field in fields:
+            if not _FIELD.fullmatch(field):
+                raise ParseError(f"line {lineno}: {field!r} is not an integer")
+            # past 19 significant digits no value fits, and int() stops at 4300
+            if len(field.lstrip("+-").lstrip("0")) > 19 or not _INT64.min <= int(field) <= _INT64.max:
+                raise ParseError(f"line {lineno}: {field} is outside the 64-bit integer range")
+        width = width or len(fields)
+        if len(fields) != width:
+            raise ParseError(f"line {lineno}: {len(fields)} components, the first cell has {width}")
 
 
 def render_snapshot(grid: Grid) -> str:
@@ -227,7 +307,8 @@ def render_snapshot(grid: Grid) -> str:
     file format.
     """
     if len(grid.dims) == 2:
-        return "\n".join(
-            "".join("O" if v else "." for v in row) for row in grid.states
-        )
+        rows, cols = grid.dims
+        chars = np.full((rows, cols + 1), ord("\n"), dtype=np.uint8)
+        chars[:, :cols] = np.where(grid.states, ord("O"), ord("."))
+        return chars.tobytes()[:-1].decode("ascii")
     return "\n".join(format_offset(cell) for cell in sorted(live_cells(grid)))

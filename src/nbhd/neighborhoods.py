@@ -27,10 +27,11 @@ from .errors import CapacityError, DimensionError, DomainError, ParseError
 
 Offset = tuple[int, ...]
 
-# Safety rails for enumeration, box scans and grids.
+# Safety rails for enumeration, box scans, grids and sequence terms.
 DEFAULT_OFFSET_CAP = 2**24
 DEFAULT_BOX_CAP = 2**26
 DEFAULT_CELL_CAP = 2**28  # a step holds about 7 bytes per cell
+DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
 
 
 class Family(enum.Enum):

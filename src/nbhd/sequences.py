@@ -15,7 +15,8 @@ import re
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .counting import binomial, diamond_sharp_count, k_count
-from .errors import DomainError, ParseError
+from .errors import CapacityError, DomainError, ParseError
+from .neighborhoods import DEFAULT_TERM_CAP
 
 
 class SequenceId(enum.Enum):
@@ -95,9 +96,11 @@ def _lookup(seq_id: SequenceId) -> tuple[int, Callable[[], Iterator[int]]]:
 
 def generate(seq_id: SequenceId, terms: int) -> list[SequenceEntry]:
     """The first ``terms`` entries of the sequence, indices starting at the
-    sequence's declared offset."""
+    sequence's declared offset; at most DEFAULT_TERM_CAP (2**16) terms."""
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
+    if terms > DEFAULT_TERM_CAP:
+        raise CapacityError(f"{terms} terms would exceed the cap of {DEFAULT_TERM_CAP}")
     offset, values = _lookup(seq_id)
     return [SequenceEntry(offset + i, v) for i, v in enumerate(itertools.islice(values(), terms))]
 

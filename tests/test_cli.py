@@ -1,8 +1,16 @@
+import io
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nbhd import load_pattern
 from nbhd.cli import main
+from nbhd.neighborhoods import DEFAULT_TERM_CAP
 
 GLIDER_LINES = "1,2\n2,3\n3,1\n3,2\n3,3\n"
 
@@ -99,6 +107,14 @@ def test_sequence_unknown_id_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("terms", ["99999999999999999999999", str(DEFAULT_TERM_CAP + 1)])
+def test_sequence_past_the_term_cap_is_one_error_line(capsys, terms):
+    code, out, err = run_cli(capsys, "sequence", "--id", "A008288", "--terms", terms)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -164,6 +180,65 @@ def test_simulate_non_ascii_pattern_is_one_error_line(capsys, tmp_path):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(pattern) in err
+
+
+@pytest.mark.parametrize("text", ["", "# no cells\n\n# here\n"], ids=["empty", "comment-only"])
+def test_simulate_pattern_without_cells(capsys, tmp_path, text):
+    pattern = tmp_path / "p.txt"
+    pattern.write_text(text)
+    code, out, err = run_cli(
+        capsys,
+        "simulate",
+        "--dims", "8,8",
+        "--k", "2",
+        "--rule", "B3/S23",
+        "--steps", "1",
+        "--pattern", str(pattern),
+    )
+    assert (code, out, err) == (0, "final population 0\n", "")
+
+
+# A pattern file as pieces: (cell, line) for a well-formed cell line, (None,
+# line) for a comment or blank line, and (False, bytes) for random junk.
+_cell_lines = st.tuples(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.sampled_from(["{},{}", " {} , +{} ", "{},{} # cell", "{},{}#"]),
+).map(lambda c: (c[0], c[1].format(*c[0]).encode()))
+_indents = st.sampled_from([b"", b"  ", b"\t"])
+_quiet_lines = st.one_of(
+    st.tuples(_indents, st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=10)).map(
+        lambda c: (None, c[0] + b"#" + c[1].encode())
+    ),
+    _indents.map(lambda b: (None, b)),
+)
+_junk_lines = st.one_of(
+    st.binary(max_size=10),
+    st.text(st.characters(max_codepoint=127), max_size=10).map(str.encode),
+).map(lambda b: (False, b))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    pieces=st.lists(st.one_of(_cell_lines, _quiet_lines, _junk_lines), max_size=10),
+    eol=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+)
+def test_simulate_survives_any_pattern_bytes(pieces, eol):
+    with tempfile.TemporaryDirectory() as tmp:
+        pattern = Path(tmp) / "p.txt"
+        pattern.write_bytes(eol.join(line for _, line in pieces))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(
+                ["simulate", "--dims", "8,8", "--k", "2", "--rule", "B3/S23",
+                 "--steps", "1", "--pattern", str(pattern)]
+            )
+        assert code in (0, 1)
+        assert err.getvalue().count("error:") <= 1 and err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        if all(cell is not False for cell, _ in pieces):
+            cells = [list(cell) for cell, _ in pieces if cell is not None]
+            assert load_pattern(pattern).tolist() == cells
+            assert code == 0
 
 
 def test_simulate_checks_the_rule_before_reading_the_pattern(capsys, tmp_path):

@@ -17,6 +17,7 @@ from nbhd import (
     count,
     diamond,
     enumerate_offsets,
+    format_offset,
     format_rule,
     k_radius,
     live_cells,
@@ -44,6 +45,12 @@ def test_make_grid_examples():
     assert population(make_grid((3, 3), live_cells=[(1, 1)])) == 1
     assert population(make_grid((5, 5))) == 0
     assert population(make_grid((4,), live_cells=[(0,), (3,)])) == 2
+    array = np.array([[0, 1], [2, 2], [0, 1]], dtype=np.int64)
+    assert live_cells(make_grid((3, 3), live_cells=array)) == [(0, 1), (2, 2)]
+    assert live_cells(make_grid((3, 3), live_cells=((i, i) for i in range(3)))) == [
+        (0, 0), (1, 1), (2, 2)
+    ]
+    assert population(make_grid((3, 3), live_cells=np.zeros((0, 1), dtype=np.int64))) == 0
 
 
 def test_make_grid_validates():
@@ -53,10 +60,28 @@ def test_make_grid_validates():
         make_grid((3, 3), live_cells=[(3, 0)])
     with pytest.raises(BoundsError):
         make_grid((3, 3), live_cells=[(-1, 0)])
-    with pytest.raises(DimensionError):
-        make_grid((3, 3), live_cells=[(1, 1, 1)])
+    for cells in ([(1, 1, 1)], [(0, 0), (1, 1, 1)]):
+        with pytest.raises(DimensionError) as exc:
+            make_grid((3, 3), live_cells=cells)
+        assert str(exc.value) == "cell (1, 1, 1) does not match grid dimension 2"
+    with pytest.raises(BoundsError, match=r"cell \(0, 1000000000000000000000000000000\)"):
+        make_grid((3, 3), live_cells=[(0, 0), (0, 10**30)])
     with pytest.raises(CapacityError):
         make_grid((2**40, 2**40))
+
+
+def test_live_cells_and_snapshots_match_per_cell_expressions():
+    rng = np.random.default_rng(17)
+    for dims in [(64, 64), (6, 5, 4)]:
+        grid = make_grid(dims, live_cells=np.argwhere(rng.random(dims) < 0.3))
+        cells = [tuple(int(c) for c in cell) for cell in np.argwhere(grid.states)]
+        assert live_cells(grid) == cells
+        assert all(type(c) is int for cell in live_cells(grid) for c in cell)
+        if len(dims) == 2:
+            want = "\n".join("".join("O" if v else "." for v in row) for row in grid.states)
+        else:
+            want = "\n".join(format_offset(cell) for cell in sorted(cells))
+        assert render_snapshot(grid) == want
 
 
 def test_live_cells_round_trips():
@@ -306,18 +331,51 @@ def test_step_with_far_offsets_matches_reference_oracle(boundary):
 
 def test_load_pattern_from_lines():
     got = load_pattern(["# glider", "", "1,2", "2,3", "3,1", "3,2", "3,3"])
-    assert got == sorted(GLIDER)
+    assert got.dtype == np.int64
+    assert got.tolist() == [list(cell) for cell in sorted(GLIDER)]
 
 
 def test_load_pattern_from_file(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("# two cells\n0,0\n2,1\n")
-    assert load_pattern(path) == [(0, 0), (2, 1)]
+    assert load_pattern(path).tolist() == [[0, 0], [2, 1]]
 
 
-def test_load_pattern_reports_bad_line():
-    with pytest.raises(ParseError, match="line 3"):
-        load_pattern(["0,0", "1,1", "nope"])
+@pytest.mark.parametrize(
+    "lines, lineno",
+    [
+        (["0,0", "1,1", "nope"], 3),
+        (["0,0", "# note", "", "1,1,1"], 4),
+        (["0,0", f"{10**30},1"], 2),
+        (["0,0", "1,1", "1_000,2"], 3),
+    ],
+    ids=["bad-field", "ragged-after-comment-and-blank", "past-int64", "underscore"],
+)
+def test_load_pattern_reports_bad_line(tmp_path, lines, lineno):
+    path = tmp_path / "p.txt"
+    path.write_text("\n".join(lines) + "\n")
+    for source in (lines, path):
+        with pytest.raises(ParseError) as exc:
+            load_pattern(source)
+        message = str(exc.value)
+        assert message.startswith(f"line {lineno}: ")
+        assert "int64" not in message and "row" not in message and "usecols" not in message
+
+
+def test_load_pattern_accepts_inline_comments_and_whitespace_lines(tmp_path):
+    lines = ["1,2 # note", "  ", "\t", "  # indented", " 3 , -0 #", "+4,5"]
+    path = tmp_path / "p.txt"
+    path.write_text("\n".join(lines) + "\n")
+    for source in (lines, path):
+        assert load_pattern(source).tolist() == [[1, 2], [3, 0], [4, 5]]
+
+
+@pytest.mark.parametrize("text", ["", "# only\n\n# comments\n"], ids=["empty", "comment-only"])
+def test_load_pattern_without_cells_is_zero_rows(tmp_path, text):
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    assert load_pattern(path).shape[0] == 0
+    assert population(make_grid((4, 4), live_cells=load_pattern(path))) == 0
 
 
 def test_render_two_dimensional():
