@@ -77,22 +77,6 @@ def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         parser.error(str(exc))
 
 
-def _cmd_count(spec: NeighborhoodSpec) -> int:
-    if not counting.closed_form_available(spec):
-        print(
-            "note: no closed form for this spec; counting by brute-force box scan",
-            file=sys.stderr,
-        )
-    print(counting.count(spec))
-    return 0
-
-
-def _cmd_enumerate(spec: NeighborhoodSpec) -> int:
-    for offset in enumerate_offsets(spec):
-        print(format_offset(offset))
-    return 0
-
-
 def _cmd_sequence(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.terms < 1:
         parser.error("--terms must be >= 1")
@@ -161,9 +145,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "count":
-            return _cmd_count(_spec_from_args(parser, args))
+            print(sequences.format_term(counting.count(_spec_from_args(parser, args))))
+            return 0
         if args.command == "enumerate":
-            return _cmd_enumerate(_spec_from_args(parser, args))
+            for offset in enumerate_offsets(_spec_from_args(parser, args)):
+                print(format_offset(offset))
+            return 0
         if args.command == "sequence":
             return _cmd_sequence(parser, args)
         if args.command == "verify":

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
-from .neighborhoods import Family, NeighborhoodSpec, brute_force_count
+from .errors import CapacityError, DomainError
+from .neighborhoods import DEFAULT_COUNT_BITS, Family, NeighborhoodSpec
+from .neighborhoods import brute_force_count  # read only by perfbench/tracing.py, which wraps it
 
 
 def binomial(n: int, k: int) -> int:
@@ -151,29 +152,33 @@ def k_radius_count(d: int, k: int, r: int) -> int:
     return sum(binomial(d, j) * (2 * r) ** j for j in range(1, k + 1))
 
 
+# Read only by perfbench/tracing.py; count() has no box-scan route any more.
 def closed_form_available(spec: NeighborhoodSpec) -> bool:
-    """Whether count(spec) is computed from a closed form.
-
-    The one gap is the k-radius family sharp on k with r > 1, which falls
-    back to the brute-force box scan.
-    """
-    return not (spec.family is Family.K_RADIUS and spec.sharp_k and spec.r > 1)
+    return True
 
 
 def count(spec: NeighborhoodSpec) -> int:
-    """Number of cells in the neighborhood, routed to the matching formula."""
-    d, r = spec.dimension, spec.r
-    if spec.family is Family.DIAMOND:
+    """Number of cells in the neighborhood, from its closed form; raises
+    CapacityError when the count could exceed 2**DEFAULT_COUNT_BITS.
+
+    A k-radius member has j nonzero components (j = k when sharp on k, 1..k
+    otherwise), each in [-r, r] without 0, and on the shell (sharp on r) at
+    least one is +-r: the count sums C(d, j) * ((2r)^j - s * (2r-2)^j) over
+    those j, with s = 1 on the shell and 0 off it.
+    """
+    d, r, is_diamond = spec.dimension, spec.r, spec.family is Family.DIAMOND
+    # the count is below (2r+1)^d, and below (2d+1)^r (diamond) or 2 * (2rd)^k (k-radius)
+    other = r * (2 * d + 1).bit_length() if is_diamond else spec.k * (2 * r * d).bit_length() + 1
+    bits = min(d * (2 * r + 1).bit_length(), other)
+    if bits > DEFAULT_COUNT_BITS:
+        raise CapacityError(f"count of up to {bits} bits would exceed the cap of {DEFAULT_COUNT_BITS}")
+    if is_diamond:
         return diamond_sharp_count(d, r) if spec.sharp_r else diamond_count(d, r)
-    k = spec.k
-    if spec.sharp_k:
-        if r == 1:
-            # at radius 1 every nonzero component is +-1, so the shell and
-            # the filled set coincide
-            return sharp_k_count(d, k)
-        return brute_force_count(spec)
-    if spec.sharp_r:
-        if r == 1:
-            return k_count(d, k)
-        return k_radius_count(d, k, r) - k_radius_count(d, k, r - 1)
-    return k_radius_count(d, k, r)
+    # C(d, j) * (2r)^j and C(d, j) * (s * (2r-2))^j, stepped from j - 1 to j
+    inner = 2 * r - 2 if spec.sharp_r else 0
+    total, outer_term, inner_term = 0, 1, 1
+    for j in range(1, spec.k + 1):
+        outer_term = outer_term * 2 * r * (d - j + 1) // j
+        inner_term = inner_term * inner * (d - j + 1) // j
+        total += outer_term - inner_term
+    return outer_term - inner_term if spec.sharp_k else total

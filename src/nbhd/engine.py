@@ -156,6 +156,7 @@ def population(grid: Grid) -> int:
 
 
 def live_cells(grid: Grid) -> list[tuple[int, ...]]:
+    """Coordinates of the live cells in lexicographic order (np.argwhere's)."""
     return list(map(tuple, np.argwhere(grid.states).tolist()))
 
 
@@ -311,4 +312,4 @@ def render_snapshot(grid: Grid) -> str:
         chars = np.full((rows, cols + 1), ord("\n"), dtype=np.uint8)
         chars[:, :cols] = np.where(grid.states, ord("O"), ord("."))
         return chars.tobytes()[:-1].decode("ascii")
-    return "\n".join(format_offset(cell) for cell in sorted(live_cells(grid)))
+    return "\n".join(format_offset(cell) for cell in live_cells(grid))

@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An enumeration or scan would exceed its configured size cap."""
+    """A count, enumeration or scan would exceed its configured size cap."""
 
 
 class BoundsError(ValueError):

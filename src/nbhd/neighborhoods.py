@@ -27,7 +27,8 @@ from .errors import CapacityError, DimensionError, DomainError, ParseError
 
 Offset = tuple[int, ...]
 
-# Safety rails for enumeration, box scans, grids and sequence terms.
+# Safety rails for counts, enumeration, box scans, grids and sequence terms.
+DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
 DEFAULT_OFFSET_CAP = 2**24
 DEFAULT_BOX_CAP = 2**26
 DEFAULT_CELL_CAP = 2**28  # a step holds about 7 bytes per cell
@@ -139,7 +140,8 @@ def _place(dimension: int, positions: tuple[int, ...], values: tuple[int, ...]) 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Ordered tuples of ``parts`` positive integers summing to ``total``."""
-    for cuts in itertools.combinations(range(1, total), parts - 1):
+    # one part needs no cut, and so no range, however large the total
+    for cuts in itertools.combinations(range(1, total) if parts > 1 else (), parts - 1):
         bounds = (0, *cuts, total)
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
@@ -161,11 +163,17 @@ def _members(spec: NeighborhoodSpec) -> Iterator[Offset]:
         return
     sizes = (spec.k,) if spec.sharp_k else range(1, spec.k + 1)
     for j in sizes:
+        # a shell member is made once, from the axis of its first +-r (axes before
+        # it stay inside r, and j = 1 builds no range); off the shell first = -1
+        firsts = range(j) if spec.sharp_r else (-1,)
         for positions in itertools.combinations(range(d), j):
-            for values in itertools.product(_nonzero_values(r), repeat=j):
-                if spec.sharp_r and max(abs(v) for v in values) != r:
-                    continue
-                yield _place(d, positions, values)
+            for first in firsts:
+                axes = (
+                    (-r, r) if i == first else _nonzero_values(r - 1 if i < first else r)
+                    for i in range(j)
+                )
+                for values in itertools.product(*axes):
+                    yield _place(d, positions, values)
 
 
 def enumerate_offsets(spec: NeighborhoodSpec) -> list[Offset]:

@@ -1,16 +1,19 @@
 import io
+import itertools
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nbhd import load_pattern
 from nbhd.cli import main
 from nbhd.neighborhoods import DEFAULT_TERM_CAP
+from nbhd.sequences import SequenceId, format_term
 
 GLIDER_LINES = "1,2\n2,3\n3,1\n3,2\n3,3\n"
 
@@ -35,12 +38,16 @@ def test_count_diamond(capsys):
     assert (code, out) == (0, "12\n")
 
 
-def test_count_without_closed_form_warns_on_stderr(capsys):
+def test_count_sharp_k_past_radius_one_is_quiet(capsys):
     code, out, err = run_cli(
         capsys, "count", "--d", "2", "--k", "1", "--r", "2", "--sharp-k"
     )
-    assert (code, out) == (0, "8\n")
-    assert "brute-force" in err
+    assert (code, out, err) == (0, "8\n", "")
+
+
+def test_count_past_the_int_to_str_limit(capsys):
+    code, out, err = run_cli(capsys, "count", "--d", "10000", "--k", "10000")
+    assert (code, out, err) == (0, format_term(3**10000 - 1) + "\n", "")
 
 
 # ---------------------------------------------------------------- enumerate
@@ -58,12 +65,23 @@ def test_enumerate_von_neumann(capsys):
         ["--d", "3", "--k", "2", "--r", "2"],
         ["--d", "2", "--diamond", "--r", "3", "--sharp-r"],
         ["--d", "3", "--k", "3", "--r", "1", "--sharp-k"],
+        ["--d", "3", "--k", "2", "--r", "2", "--sharp-k"],
+        # boxes past DEFAULT_BOX_CAP: only the formula and the enumeration count these
+        ["--d", "30", "--k", "1", "--r", "2", "--sharp-k"],
+        ["--d", "12", "--k", "2", "--r", "3", "--sharp-k", "--sharp-r"],
     ],
 )
 def test_count_equals_enumerate_length(capsys, flags):
     _, count_out, _ = run_cli(capsys, "count", *flags)
     _, enum_out, _ = run_cli(capsys, "enumerate", *flags)
     assert int(count_out) == len(enum_out.splitlines())
+
+
+@pytest.mark.parametrize("family", [["--k", "1"], ["--diamond"]])
+def test_enumerate_one_axis_shell_at_a_huge_radius(capsys, family):
+    r = "99999999999999999999"
+    code, out, err = run_cli(capsys, "enumerate", "--d", "1", *family, "--r", r, "--sharp-r")
+    assert (code, out, err) == (0, f"-{r}\n{r}\n", "")
 
 
 def test_enumerate_over_cap_is_runtime_failure(capsys):
@@ -316,3 +334,96 @@ def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+
+def _mostly(usual, rare):
+    """``usual`` three times in four, ``rare`` once, so that a fair share of
+    argv gets past argparse to the command itself."""
+    return st.sampled_from([usual, usual, usual, rare]).flatmap(lambda s: s)
+
+
+_JUNK = ["", "x", "1.5", "99999999999999999999"]
+_junk = st.sampled_from(_JUNK)
+_non_numbers = st.sampled_from(_JUNK[:3])
+_numbers = st.one_of(st.integers(1, 8), st.integers(-3, 40)).map(str)
+_values = _mostly(_numbers, _junk)
+# Two options take no huge number: verify's box scans grow as
+# (2 max_r + 1)^max_d, so past 3 the fuzz would crawl, and 10**20 simulate
+# steps is a valid request for a run that does not end in practice.
+_verify_values = _mostly(st.integers(-3, 3).map(str), _non_numbers)
+_SPEC_OPTIONS = {
+    "--d": _values, "--k": _values, "--r": _values,
+    "--diamond": None, "--sharp-k": None, "--sharp-r": None,
+}
+_OPTIONS = {
+    "count": _SPEC_OPTIONS,
+    "enumerate": _SPEC_OPTIONS,
+    "sequence": {
+        "--id": _mostly(st.sampled_from([s.value for s in SequenceId]),
+                        st.sampled_from(["A000001", *_JUNK])),
+        "--terms": _values,
+        "--bfile": None,
+    },
+    "verify": {"--max-d": _verify_values, "--max-k": _values, "--max-r": _verify_values},
+    "simulate": {
+        # two axes and k <= 2, like the glider, three times in four
+        "--dims": _mostly(
+            _mostly(st.lists(_values, min_size=2, max_size=2),
+                    st.lists(_values, min_size=1, max_size=3)).map(",".join),
+            _junk,
+        ),
+        "--k": _mostly(st.sampled_from(["1", "2"]), _values),
+        "--r": _values, "--diamond": None,
+        "--rule": _mostly(st.sampled_from(["B3/S23", "B1/S", "B3,12/S0,15"]),
+                          st.sampled_from(["B99999999999999999999/S", "banana", *_JUNK])),
+        "--steps": _mostly(_numbers, _non_numbers),
+        "--pattern": st.just("GLIDER"),
+        "--boundary": _mostly(st.sampled_from(["torus", "dead"]), _junk),
+        "--snapshot-every": _values,
+    },
+}
+
+
+def _flag(name, values):
+    # an option is there three times in four; a switch once in four, since
+    # --diamond clashes with --k
+    if values is None:
+        return _mostly(st.just([]), st.just([name]))
+    return _mostly(values.map(lambda v: [name, v]), st.just([]))
+
+
+_argv = st.sampled_from(sorted(_OPTIONS)).flatmap(
+    lambda command: st.tuples(*(_flag(n, v) for n, v in _OPTIONS[command].items()))
+    .flatmap(st.permutations)
+    .map(lambda flags: [command, *itertools.chain.from_iterable(flags)])
+)
+
+
+@pytest.fixture(scope="module")
+def glider_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "glider.txt"
+    path.write_text(GLIDER_LINES)
+    return str(path)
+
+
+@settings(deadline=None, max_examples=600)
+@given(argv=_argv)
+def test_any_argv_exits_zero_one_or_two(glider_file, argv):
+    argv = [glider_file if a == "GLIDER" else a for a in argv]
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()  # --bfile writes to out.buffer
+    # a lower offset cap keeps enumerate and simulate small (verify's default
+    # ranges need 2400); past it they take the same CapacityError path as
+    # past the real one
+    with mock.patch("nbhd.neighborhoods.DEFAULT_OFFSET_CAP", 2**12), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("error:") <= 1

@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbhd import (
+    CapacityError,
     DomainError,
     binomial,
     brute_force_count,
-    closed_form_available,
     count,
     delannoy,
     diamond,
     diamond_count,
     diamond_sharp_count,
-    enumerate_offsets,
     k_count,
     k_radius,
     k_radius_count,
@@ -205,24 +204,20 @@ def test_count_dispatch_sharp_variants():
     assert count(k_radius(3, 2, 2, sharp_r=True)) == 60 - 18
 
 
-def test_closed_form_coverage():
-    assert closed_form_available(von_neumann(2))
-    assert closed_form_available(diamond(3, 3, sharp_r=True))
-    assert closed_form_available(k_radius(3, 2, 2, sharp_r=True))
-    assert closed_form_available(k_radius(3, 2, 1, sharp_k=True))
-    assert not closed_form_available(k_radius(3, 2, 2, sharp_k=True))
-
-
-def test_fallback_agrees_with_enumeration():
-    spec = k_radius(3, 2, 2, sharp_k=True)
-    assert count(spec) == len(enumerate_offsets(spec)) == brute_force_count(spec)
+def test_count_past_the_bit_cap_is_capacity_error():
+    huge = 10**20
+    for spec in (k_radius(huge, huge), k_radius(huge, huge, sharp_k=True), diamond(huge, huge)):
+        with pytest.raises(CapacityError):
+            count(spec)
+    assert count(k_radius(huge, 1)) == 2 * huge
+    assert count(diamond(huge, 1)) == 2 * huge
 
 
 @settings(deadline=None, max_examples=40)
 @given(
-    st.integers(1, 3).flatmap(
+    st.integers(1, 4).flatmap(
         lambda d: st.tuples(
-            st.just(d), st.integers(1, d), st.integers(1, 2),
+            st.just(d), st.integers(1, d), st.integers(1, 3),
             st.booleans(), st.booleans(),
         )
     )
