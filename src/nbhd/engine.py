@@ -6,7 +6,10 @@ internal evaluation order.  Neighbor counts are taken per offset: on a torus
 smaller than the neighborhood span the same physical cell can be seen through
 several offsets and is counted once per offset.  Boundaries are handled by one
 padded copy of the grid per step (wrapped on a torus, dead cells outside a
-fixed-dead grid), so every offset is added as a view of that copy.
+fixed-dead grid), so every offset is added as a view of that copy.  Counts
+accumulate in the narrowest unsigned type that holds the rule-table index
+2*|N| + 1 (uint8 up to |N| = 127, uint16 up to 32767, uint32 above), and
+the next state is gathered from the table with np.take.
 
 Grids are immutable values from the caller's perspective: step always
 returns a fresh grid and never writes to an existing one.
@@ -26,7 +29,7 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
-from .neighborhoods import DEFAULT_CELL_CAP, Offset, format_offset
+from .neighborhoods import DEFAULT_CELL_CAP, Offset
 
 
 class Boundary(enum.Enum):
@@ -165,7 +168,8 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
 
     A cell's next state is 1 iff it is dead with a live-neighbor count in
     rule.birth, or live with a count in rule.survival.  Neighbor lookups wrap
-    on a toroidal grid and read 0 outside a fixed-dead one.
+    on a toroidal grid and read 0 outside a fixed-dead one.  A padded copy of
+    more than DEFAULT_CELL_CAP cells raises CapacityError before it is made.
     """
     d = len(grid.dims)
     for off in offsets:
@@ -184,19 +188,25 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
         mode = "constant"
         near = [off for off in offsets if all(abs(o) < n for o, n in zip(off, dims))]
     reach = [max((abs(off[i]) for off in near), default=0) for i in range(d)]
+    padded_cells = math.prod(n + 2 * p for n, p in zip(dims, reach))
+    if padded_cells > DEFAULT_CELL_CAP:
+        raise CapacityError(
+            f"padded grid of {padded_cells} cells would exceed the cap of {DEFAULT_CELL_CAP}"
+        )
     padded = np.pad(states, [(p, p) for p in reach], mode=mode)
-    counts = np.zeros(dims, dtype=np.int32)
+    # table[count, state] is the next state, gathered flat at 2*count + state;
+    # counts never exceed len(offsets), so that index fits the narrowest
+    # unsigned type holding 2*len(offsets) + 1 and is computed in place
+    counts = np.zeros(dims, dtype=np.min_scalar_type(2 * len(offsets) + 1))
     for off in near:
         counts += padded[tuple(slice(p + o, p + o + n) for o, p, n in zip(off, reach, dims))]
 
-    # table[count, state] is the next state; gathered flat at 2*count + state,
-    # in place on counts (int32, so the index never overflows the uint8 states)
     table = np.zeros((len(offsets) + 1, 2), dtype=np.uint8)
     table[list(rule.birth), 0] = 1
     table[list(rule.survival), 1] = 1
     counts *= 2
     counts += states
-    return Grid(grid.dims, table.ravel()[counts], grid.boundary)
+    return Grid(grid.dims, np.take(table.ravel(), counts), grid.boundary)
 
 
 def run(
@@ -312,4 +322,8 @@ def render_snapshot(grid: Grid) -> str:
         chars = np.full((rows, cols + 1), ord("\n"), dtype=np.uint8)
         chars[:, :cols] = np.where(grid.states, ord("O"), ord("."))
         return chars.tobytes()[:-1].decode("ascii")
-    return "\n".join(format_offset(cell) for cell in live_cells(grid))
+    # one %-format over all coordinates, not one tuple per cell; '%d' writes
+    # an int as str() does, so each line equals format_offset of its cell
+    cells = np.argwhere(grid.states)
+    line = ",".join(["%d"] * len(grid.dims))
+    return "\n".join([line] * len(cells)) % tuple(cells.ravel().tolist())

@@ -31,7 +31,7 @@ Offset = tuple[int, ...]
 DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
 DEFAULT_OFFSET_CAP = 2**24
 DEFAULT_BOX_CAP = 2**26
-DEFAULT_CELL_CAP = 2**28  # a step holds about 7 bytes per cell
+DEFAULT_CELL_CAP = 2**28  # grids and padded copies; a step holds about 13 bytes per cell
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
 
 

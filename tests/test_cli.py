@@ -294,6 +294,26 @@ def test_simulate_oversized_dims_is_one_error_line(capsys, tmp_path, dims):
     assert "Traceback" not in err
 
 
+def test_simulate_padded_grid_past_the_cell_cap_is_one_error_line(capsys, tmp_path, monkeypatch):
+    # the 10x10 grid fits the lowered cap; the step's 12x12 padded copy does not
+    monkeypatch.setattr("nbhd.engine.DEFAULT_CELL_CAP", 120)
+    pattern = tmp_path / "glider.txt"
+    pattern.write_text(GLIDER_LINES)
+    for boundary in ("torus", "dead"):
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            "--dims", "10,10",
+            "--k", "2",
+            "--rule", "B3/S23",
+            "--steps", "1",
+            "--pattern", str(pattern),
+            "--boundary", boundary,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: padded grid of 144 cells would exceed the cap of 120\n"
+
+
 def test_simulate_bad_rule_is_usage_error(tmp_path):
     pattern = tmp_path / "p.txt"
     pattern.write_text("0,0\n")

@@ -72,7 +72,7 @@ def test_make_grid_validates():
 
 def test_live_cells_and_snapshots_match_per_cell_expressions():
     rng = np.random.default_rng(17)
-    for dims in [(64, 64), (6, 5, 4)]:
+    for dims in [(64, 64), (40,), (6, 5, 4), (5, 4, 3, 3, 4)]:
         grid = make_grid(dims, live_cells=np.argwhere(rng.random(dims) < 0.3))
         cells = [tuple(int(c) for c in cell) for cell in np.argwhere(grid.states)]
         assert live_cells(grid) == cells
@@ -291,6 +291,25 @@ def test_step_past_255_neighbours_matches_reference_oracle(boundary):
         assert set(live_cells(got)) == want
 
 
+@pytest.mark.parametrize("size", [127, 128, 32767, 32768])
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_step_where_the_count_type_widens_matches_reference_oracle(size, boundary):
+    # counts fit uint8 up to |N| = 127 and uint16 up to 32767; a table index
+    # 2|N| + 1 that wrapped would read (count 0, live), which the rule kills;
+    # on the all-live grid the middle cell reads a live cell through every offset
+    offs = list(itertools.islice(itertools.cycle([(-1,), (1,)]), size))
+    rule = Rule(frozenset({0, size // 2}), frozenset({1, size}))
+    toroidal = boundary is Boundary.TOROIDAL
+    for live in ({(1,)}, {(0,), (1,), (2,)}):
+        grid = make_grid((3,), boundary, sorted(live))
+        before = grid.states.copy()
+        got = step(grid, rule, offs)
+        assert got.states.dtype == np.uint8
+        assert np.array_equal(grid.states, before)
+        want = life_step_reference(live, (3,), rule.birth, rule.survival, offs, toroidal=toroidal)
+        assert set(live_cells(got)) == want
+
+
 @st.composite
 def small_worlds(draw):
     # every axis as short as 1, below the neighborhood span 2r + 1
@@ -324,6 +343,16 @@ def test_step_with_far_offsets_matches_reference_oracle(boundary):
     got = set(live_cells(step(make_grid((4, 3, 5), boundary, sorted(live)), rule, offs)))
     want = life_step_reference(live, (4, 3, 5), rule.birth, rule.survival, offs, toroidal=toroidal)
     assert got == want
+
+
+def test_padded_copy_past_the_cell_cap_is_capacity_error(monkeypatch):
+    # a 10x10 grid fits a cap of 120 cells, its Moore pad of 12x12 does not;
+    # an 8x8 grid's pad of 10x10 does
+    monkeypatch.setattr("nbhd.engine.DEFAULT_CELL_CAP", 120)
+    for boundary in Boundary:
+        with pytest.raises(CapacityError, match="padded grid of 144 cells"):
+            step(make_grid((10, 10), boundary, GLIDER), LIFE, MOORE2)
+        assert population(step(make_grid((8, 8), boundary, GLIDER), LIFE, MOORE2)) == 5
 
 
 # ---------------------------------------------------------------- text formats
@@ -386,3 +415,4 @@ def test_render_two_dimensional():
 def test_render_other_dimensions_lists_cells():
     grid = make_grid((2, 2, 2), live_cells=[(1, 0, 1), (0, 0, 0)])
     assert render_snapshot(grid) == "0,0,0\n1,0,1"
+    assert render_snapshot(make_grid((2, 2, 2))) == ""
