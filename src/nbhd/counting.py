@@ -54,7 +54,12 @@ def sharp_k_count_rec(d: int, k: int) -> int:
 def k_count(d: int, k: int) -> int:
     """Offsets with 1..k nonzero components, each -1 or 1: sum of 2^j * C(d, j)."""
     _require_dk(d, k)
-    return sum((1 << j) * binomial(d, j) for j in range(1, k + 1))
+    # 2^j * C(d, j), stepped from j - 1 to j
+    total, term = 0, 1
+    for j in range(1, k + 1):
+        term = term * 2 * (d - j + 1) // j
+        total += term
+    return total
 
 
 def k_count_rec(d: int, k: int) -> int:
@@ -86,17 +91,25 @@ def moore_radius_sharp_count(d: int, r: int) -> int:
     """Shell at Chebyshev distance exactly r:
     sum over m of C(d, m) * 2^m * (2r-1)^(d-m)."""
     _require_dr(d, r)
-    return sum(binomial(d, m) * (1 << m) * (2 * r - 1) ** (d - m) for m in range(1, d + 1))
+    # C(d, m) * 2^m * (2r-1)^(d-m), stepped down from m = d, where it is 2^d
+    total, term = 0, 1 << d
+    for m in range(d, 0, -1):
+        total += term
+        term = term * (2 * r - 1) * m // (2 * (d - m + 1))
+    return total
 
 
 def diamond_sharp_count(d: int, r: int) -> int:
     """Lattice points at Manhattan distance exactly r:
     sum over k of C(r-1, k-1) * C(d, k) * 2^k."""
     _require_dr(d, r)
-    return sum(
-        binomial(r - 1, k - 1) * binomial(d, k) * (1 << k)
-        for k in range(1, min(d, r) + 1)
-    )
+    # C(r-1, k-1) * C(d, k) * 2^k, stepped from k - 1 to k; 2d at k = 1
+    total, term = 0, 2 * d
+    for k in range(1, min(d, r) + 1):
+        if k > 1:
+            term = term * 2 * (r - k + 1) * (d - k + 1) // ((k - 1) * k)
+        total += term
+    return total
 
 
 def diamond_sharp_count_rec(d: int, r: int) -> int:
@@ -111,9 +124,12 @@ def diamond_count(d: int, r: int) -> int:
     """Lattice points at Manhattan distance 1..r:
     sum over k of C(r, k) * C(d, k) * 2^k."""
     _require_dr(d, r)
-    return sum(
-        binomial(r, k) * binomial(d, k) * (1 << k) for k in range(1, min(d, r) + 1)
-    )
+    # C(r, k) * C(d, k) * 2^k, stepped from k - 1 to k
+    total, term = 0, 1
+    for k in range(1, min(d, r) + 1):
+        term = term * 2 * (r - k + 1) * (d - k + 1) // (k * k)
+        total += term
+    return total
 
 
 def _delannoy_row(d: int, r: int) -> list[int]:
@@ -149,7 +165,12 @@ def k_radius_count(d: int, k: int, r: int) -> int:
     _require_dk(d, k)
     if r < 1:
         raise DomainError(f"need r >= 1, got r={r}")
-    return sum(binomial(d, j) * (2 * r) ** j for j in range(1, k + 1))
+    # C(d, j) * (2r)^j, stepped from j - 1 to j
+    total, term = 0, 1
+    for j in range(1, k + 1):
+        term = term * 2 * r * (d - j + 1) // j
+        total += term
+    return total
 
 
 # Read only by perfbench/tracing.py; count() has no box-scan route any more.

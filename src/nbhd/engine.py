@@ -6,10 +6,21 @@ internal evaluation order.  Neighbor counts are taken per offset: on a torus
 smaller than the neighborhood span the same physical cell can be seen through
 several offsets and is counted once per offset.  Boundaries are handled by one
 padded copy of the grid per step (wrapped on a torus, dead cells outside a
-fixed-dead grid), so every offset is added as a view of that copy.  Counts
-accumulate in the narrowest unsigned type that holds the rule-table index
-2*|N| + 1 (uint8 up to |N| = 127, uint16 up to 32767, uint32 above), and
-the next state is gathered from the table with np.take.
+fixed-dead grid), and every count is a sum of views of that copy.
+
+How the views are summed depends on the offset list alone.  A list that is
+exactly a k-radius neighborhood with k >= 2 (Moore's among them), in any
+order, is counted axis by axis: the paper's row recurrence
+T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) says such a count is e_1 + ... + e_k,
+where e_j is the j-th elementary symmetric sum of the per-axis ring filters
+(the line sum over -r..r without 0), and a DP over the axes gives it in
+O(d*k) ring passes of 2r adds each, not one add per offset (130 for
+k_radius(5, 3, 1)).  Every other list, diamonds, shells, sharp-k sets and
+k = 1 sets included, adds one view per offset; for k = 1 the ring sums cost
+the same one add per offset and measured no faster.  Both ways give the
+same counts.  Counts accumulate in the narrowest unsigned type that holds the
+rule-table index 2*|N| + 1 (uint8 up to |N| = 127, uint16 up to 32767,
+uint32 above), and the next state is gathered from the table with np.take.
 
 Grids are immutable values from the caller's perspective: step always
 returns a fresh grid and never writes to an existing one.
@@ -19,9 +30,11 @@ from __future__ import annotations
 
 import enum
 import io
+import itertools
 import math
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
@@ -29,7 +42,8 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
-from .neighborhoods import DEFAULT_CELL_CAP, Offset
+from .counting import count
+from .neighborhoods import DEFAULT_CELL_CAP, Offset, k_radius
 
 
 class Boundary(enum.Enum):
@@ -170,6 +184,12 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
     rule.birth, or live with a count in rule.survival.  Neighbor lookups wrap
     on a toroidal grid and read 0 outside a fixed-dead one.  A padded copy of
     more than DEFAULT_CELL_CAP cells raises CapacityError before it is made.
+
+    When ``offsets`` are exactly the members of a k-radius neighborhood with
+    k >= 2, in any order, the counts come from per-axis ring sums
+    (_ring_index); any other list, k = 1 sets included, is added one offset
+    at a time (_offset_index), since a k = 1 ring sum is one add per offset
+    too.  Both give the same counts.
     """
     d = len(grid.dims)
     for off in offsets:
@@ -177,36 +197,134 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
             raise DimensionError(f"offset {off} does not match grid dimension {d}")
     rule.check_fits(len(offsets))
 
-    # keep every pad within its axis: on a torus fold each component into
-    # [-n//2, n - n//2); on a fixed-dead grid drop an offset that reaches a
-    # whole axis length, since it reads only dead cells
-    dims, states = grid.dims, grid.states
-    if grid.boundary is Boundary.TOROIDAL:
-        mode = "wrap"
-        near = [tuple((o + n // 2) % n - n // 2 for o, n in zip(off, dims)) for off in offsets]
+    # table[count, state] is the next state, gathered flat at 2*count + state;
+    # counts never exceed len(offsets), so that index fits the narrowest
+    # unsigned type holding 2*len(offsets) + 1
+    dtype = np.min_scalar_type(2 * len(offsets) + 1)
+    k_r = _as_k_radius(offsets, d)
+    if k_r is None:
+        index = _offset_index(grid, offsets, dtype)
     else:
-        mode = "constant"
-        near = [off for off in offsets if all(abs(o) < n for o, n in zip(off, dims))]
-    reach = [max((abs(off[i]) for off in near), default=0) for i in range(d)]
-    padded_cells = math.prod(n + 2 * p for n, p in zip(dims, reach))
+        index = _ring_index(grid, *k_r, dtype)
+    table = np.zeros((len(offsets) + 1, 2), dtype=np.uint8)
+    table[list(rule.birth), 0] = 1
+    table[list(rule.survival), 1] = 1
+    return Grid(grid.dims, np.take(table.ravel(), index), grid.boundary)
+
+
+def _as_k_radius(offsets: Sequence[Offset], d: int) -> tuple[int, int] | None:
+    """(k, r) when ``offsets`` are exactly the members of k_radius(d, k, r)
+    with k >= 2, in any order; None for every other list.
+
+    With r the largest |component| and k the most nonzero components, a list
+    of distinct nonzero offsets lies inside that set, so it is the set iff
+    it is as long.
+    """
+    if not len(offsets):
+        return None
+    r = int(max(map(abs, itertools.chain.from_iterable(offsets))))
+    # a set with k >= 2 holds the 2rd members with one nonzero component and
+    # the C(d, 2)(2r)^2 with two; this rejects most lists, and the huge r of
+    # far offsets, before any other work
+    if len(offsets) < 2 * r * d + d * (d - 1) // 2 * (2 * r) ** 2:
+        return None
+    sizes = [d - tuple(off).count(0) for off in offsets]
+    k = max(sizes)
+    if k < 2 or len(offsets) != count(k_radius(d, k, r)):
+        return None
+    if min(sizes) == 0 or len(set(map(tuple, offsets))) != len(offsets):
+        return None
+    return k, r
+
+
+def _padded(grid: Grid, reach: Sequence[int]) -> np.ndarray:
+    """The grid padded by reach[i] on each side of axis i: wrapped on a torus,
+    dead cells on a fixed-dead grid."""
+    padded_cells = math.prod(n + 2 * p for n, p in zip(grid.dims, reach))
     if padded_cells > DEFAULT_CELL_CAP:
         raise CapacityError(
             f"padded grid of {padded_cells} cells would exceed the cap of {DEFAULT_CELL_CAP}"
         )
-    padded = np.pad(states, [(p, p) for p in reach], mode=mode)
-    # table[count, state] is the next state, gathered flat at 2*count + state;
-    # counts never exceed len(offsets), so that index fits the narrowest
-    # unsigned type holding 2*len(offsets) + 1 and is computed in place
-    counts = np.zeros(dims, dtype=np.min_scalar_type(2 * len(offsets) + 1))
+    mode = "wrap" if grid.boundary is Boundary.TOROIDAL else "constant"
+    return np.pad(grid.states, [(p, p) for p in reach], mode=mode)
+
+
+def _offset_index(grid: Grid, offsets: Sequence[Offset], dtype: np.dtype) -> np.ndarray:
+    """2*count + state per cell, adding one view of the padded grid per offset."""
+    # keep every pad within its axis: on a torus fold each component into
+    # [-n//2, n - n//2); on a fixed-dead grid drop an offset that reaches a
+    # whole axis length, since it reads only dead cells
+    dims, d = grid.dims, len(grid.dims)
+    if grid.boundary is Boundary.TOROIDAL:
+        near = [tuple((o + n // 2) % n - n // 2 for o, n in zip(off, dims)) for off in offsets]
+    else:
+        near = [off for off in offsets if all(abs(o) < n for o, n in zip(off, dims))]
+    reach = [max((abs(off[i]) for off in near), default=0) for i in range(d)]
+    padded = _padded(grid, reach)
+    counts = np.zeros(dims, dtype=dtype)
     for off in near:
         counts += padded[tuple(slice(p + o, p + o + n) for o, p, n in zip(off, reach, dims))]
-
-    table = np.zeros((len(offsets) + 1, 2), dtype=np.uint8)
-    table[list(rule.birth), 0] = 1
-    table[list(rule.survival), 1] = 1
     counts *= 2
-    counts += states
-    return Grid(grid.dims, np.take(table.ravel(), counts), grid.boundary)
+    counts += grid.states
+    return counts
+
+
+def _ring_index(grid: Grid, k: int, r: int, dtype: np.dtype) -> np.ndarray:
+    """2*count + state per cell for the neighborhood k_radius(d, k, r).
+
+    The paper's row recurrence T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) read as
+    an algorithm.  sums[j] counts the live cells at offsets with at most j
+    nonzero components, all on the axes done so far and within r, the
+    center included; each axis updates it to sums[j] + ring(sums[j-1]),
+    where ring adds the shifts -r..r without 0 along that axis.  After the
+    last axis, sums[k] is the neighbor count plus the cell itself.
+    """
+    dims, d = grid.dims, len(grid.dims)
+    shifts = [*range(-r, 0), *range(1, r + 1)]
+    if grid.boundary is Boundary.TOROIDAL:
+        # folded as _offset_index folds; a repeated residue is one cell read
+        # through several offsets, so it counts once per offset
+        rings = [Counter((s + n // 2) % n - n // 2 for s in shifts) for n in dims]
+    else:
+        rings = [Counter(s for s in shifts if abs(s) < n) for n in dims]
+    reach = [max(map(abs, ring), default=0) for ring in rings]
+    # sums[j] is cropped on the axes done and padded on the rest; sums[j]
+    # for j past the highest key equals the highest key's
+    sums = {0: _padded(grid, reach)}
+    for i, (ring, p, n) in enumerate(zip(rings, reach, dims)):
+        top = max(sums)
+        # only sums[k - (axes left)] and above can still reach sums[k]
+        low = max(0, k - (d - 1 - i))
+        for j in range(min(top + 1, k), low - 1, -1):
+            base = _along(sums[min(j, top)], i, p, n)
+            sums[j] = _add_ring(base, sums[j - 1], ring, i, p, n, dtype) if j else base
+        for j in [j for j in sums if j < low]:
+            del sums[j]
+    # 2*count + state = 2*(sums[k] - state) + state, wrapping back into range
+    index = sums[k]
+    index *= 2
+    index -= grid.states
+    return index
+
+
+def _along(array: np.ndarray, axis: int, start: int, n: int) -> np.ndarray:
+    return array[(slice(None),) * axis + (slice(start, start + n),)]
+
+
+def _add_ring(
+    base: np.ndarray, source: np.ndarray, ring: Counter, axis: int, p: int, n: int, dtype: np.dtype
+) -> np.ndarray:
+    """A new ``dtype`` array: base plus source read at every shift in ring."""
+    total = None
+    for s, times in ring.items():
+        term = _along(source, axis, p + s, n)
+        if times > 1:
+            term = np.multiply(term, times, dtype=dtype)
+        if total is None:
+            total = np.add(base, term, dtype=dtype)
+        else:
+            total += term
+    return base.astype(dtype) if total is None else total
 
 
 def run(

@@ -29,7 +29,7 @@ Offset = tuple[int, ...]
 
 # Safety rails for counts, enumeration, box scans, grids and sequence terms.
 DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
-DEFAULT_OFFSET_CAP = 2**24
+DEFAULT_OFFSET_CAP = 2**24  # components, offsets * dimension; about 12 bytes each as tuples
 DEFAULT_BOX_CAP = 2**26
 DEFAULT_CELL_CAP = 2**28  # grids and padded copies; a step holds about 13 bytes per cell
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
@@ -181,14 +181,18 @@ def enumerate_offsets(spec: NeighborhoodSpec) -> list[Offset]:
 
     The first component is most significant and each component ranges over
     -r..r.  The result contains no duplicates and never the zero offset, and
-    its length equals count(spec).  Raises CapacityError when count(spec)
-    exceeds DEFAULT_OFFSET_CAP (2**24 offsets).
+    its length equals count(spec).  Raises CapacityError, before any offset
+    is made, when the offsets hold more than DEFAULT_OFFSET_CAP (2**24)
+    components in all, count(spec) * dimension.
     """
     from .counting import count  # counting imports this module; import at call time
 
     total = count(spec)
-    if total > DEFAULT_OFFSET_CAP:
-        raise CapacityError(f"{total} offsets would exceed the cap of {DEFAULT_OFFSET_CAP}")
+    if total * spec.dimension > DEFAULT_OFFSET_CAP:
+        raise CapacityError(
+            f"{total} offsets of {spec.dimension} components would exceed "
+            f"the cap of {DEFAULT_OFFSET_CAP} components"
+        )
     return sorted(_members(spec))
 
 

@@ -91,6 +91,14 @@ def test_enumerate_over_cap_is_runtime_failure(capsys):
     assert "error" in err
 
 
+def test_enumerate_past_the_component_cap_is_one_error_line(capsys):
+    # 4,995,200 offsets, under 2**24, but of 40 components each
+    code, out, err = run_cli(capsys, "enumerate", "--d", "40", "--k", "2", "--r", "40")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "4995200 offsets of 40 components" in err
+
+
 # ---------------------------------------------------------------- sequence
 
 
@@ -435,9 +443,9 @@ def test_any_argv_exits_zero_one_or_two(glider_file, argv):
     argv = [glider_file if a == "GLIDER" else a for a in argv]
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()  # --bfile writes to out.buffer
     # a lower offset cap keeps enumerate and simulate small (verify's default
-    # ranges need 2400); past it they take the same CapacityError path as
-    # past the real one
-    with mock.patch("nbhd.neighborhoods.DEFAULT_OFFSET_CAP", 2**12), \
+    # ranges need 2400 offsets of 4 components); past it they take the same
+    # CapacityError path as past the real one
+    with mock.patch("nbhd.neighborhoods.DEFAULT_OFFSET_CAP", 2**14), \
             redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)

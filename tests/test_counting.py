@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from conftest import count_lattice_paths
 from hypothesis import given, settings
@@ -233,3 +235,25 @@ def test_every_k_radius_count_matches_box_scan(params):
 def test_every_diamond_count_matches_box_scan(d, r, sharp_r):
     spec = diamond(d, r, sharp_r=sharp_r)
     assert count(spec) == brute_force_count(spec)
+
+
+def test_stepped_sums_match_math_comb_sums():
+    # the closed forms step each term from the one before; these are the
+    # textbook sums with one math.comb per factor
+    comb = math.comb
+    for d in range(1, 31):
+        for r in range(1, 31):
+            terms = range(1, min(d, r) + 1)
+            assert diamond_count(d, r) == sum(comb(r, k) * comb(d, k) * 2**k for k in terms)
+            assert diamond_sharp_count(d, r) == sum(
+                comb(r - 1, k - 1) * comb(d, k) * 2**k for k in terms
+            )
+            assert moore_radius_sharp_count(d, r) == sum(
+                comb(d, m) * 2**m * (2 * r - 1) ** (d - m) for m in range(1, d + 1)
+            )
+            for k in range(1, d + 1):
+                assert k_radius_count(d, k, r) == sum(
+                    comb(d, j) * (2 * r) ** j for j in range(1, k + 1)
+                )
+        for k in range(1, d + 1):
+            assert k_count(d, k) == sum(2**j * comb(d, j) for j in range(1, k + 1))

@@ -6,6 +6,7 @@ from conftest import life_step_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbhd import engine
 from nbhd import (
     Boundary,
     BoundsError,
@@ -353,6 +354,128 @@ def test_padded_copy_past_the_cell_cap_is_capacity_error(monkeypatch):
         with pytest.raises(CapacityError, match="padded grid of 144 cells"):
             step(make_grid((10, 10), boundary, GLIDER), LIFE, MOORE2)
         assert population(step(make_grid((8, 8), boundary, GLIDER), LIFE, MOORE2)) == 5
+
+
+# ---------------------------------------------------------------- ring path
+#
+# A k-radius list with k >= 2 is counted by per-axis ring sums; every other
+# list by the per-offset loop, which is kept as the ring path's oracle.
+
+
+def _index_dtype(offs):
+    return np.min_scalar_type(2 * len(offs) + 1)
+
+
+def _assert_both_paths_match_reference(grid, rule, offs):
+    """step agrees with the set-based reference, and the ring sums with the
+    per-offset loop, count for count."""
+    toroidal = grid.boundary is Boundary.TOROIDAL
+    live = set(live_cells(grid))
+    want = life_step_reference(live, grid.dims, rule.birth, rule.survival, offs, toroidal=toroidal)
+    got = step(grid, rule, offs)
+    assert got.states.dtype == np.uint8
+    assert set(live_cells(got)) == want
+    k_r = engine._as_k_radius(offs, len(grid.dims))
+    if k_r is not None:
+        dtype = _index_dtype(offs)
+        ring = engine._ring_index(grid, *k_r, dtype)
+        assert ring.dtype == dtype
+        assert np.array_equal(ring, engine._offset_index(grid, offs, dtype))
+
+
+@st.composite
+def k_radius_worlds(draw):
+    # d = 2..4 (k >= 2 needs two axes), k = 2..d, r = 1..3 and axes of 1..5
+    # cells (r <= 2 and 1..3 cells at d = 4, which keeps the reference step
+    # small), so that many axes are shorter than the span 2r + 1
+    d = draw(st.integers(2, 4))
+    k, r = draw(st.integers(2, d)), draw(st.integers(1, 3 if d < 4 else 2))
+    dims = tuple(draw(st.lists(st.integers(1, 5 if d < 4 else 3), min_size=d, max_size=d)))
+    offs = draw(st.randoms(use_true_random=False)).sample(
+        enumerate_offsets(k_radius(d, k, r)), count(k_radius(d, k, r))
+    )
+    live = draw(st.sets(st.tuples(*(st.integers(0, n - 1) for n in dims))))
+    # the counts 0 and |N| in the rule three times in four
+    edges = draw(st.sampled_from([{0, len(offs)}, {0}, {len(offs)}, set()]))
+    counts = st.sets(st.integers(0, len(offs)), max_size=5)
+    rule = Rule(frozenset(draw(counts) | edges), frozenset(draw(counts) | edges))
+    return dims, offs, (k, r), live, rule
+
+
+@settings(deadline=None, max_examples=80)
+@given(world=k_radius_worlds(), boundary=st.sampled_from(list(Boundary)))
+def test_ring_path_matches_reference_oracle(world, boundary):
+    dims, offs, shape, live, rule = world
+    assert engine._as_k_radius(offs, len(dims)) == shape
+    _assert_both_paths_match_reference(make_grid(dims, boundary, sorted(live)), rule, offs)
+
+
+@pytest.mark.parametrize("d, k, r", [(1, 1, 3), (2, 1, 2), (3, 1, 1)])
+def test_k_one_lists_take_the_per_offset_path(d, k, r):
+    assert engine._as_k_radius(enumerate_offsets(k_radius(d, k, r)), d) is None
+
+
+def test_permuted_moore_list_takes_the_ring_path():
+    offs = enumerate_offsets(moore(3, 2))
+    assert engine._as_k_radius(offs[::-1], 3) == (3, 2)
+    assert engine._as_k_radius(offs[1::2] + offs[::2], 3) == (3, 2)
+    assert engine._as_k_radius([list(off) for off in offs], 3) == (3, 2)
+
+
+_MOORE3 = enumerate_offsets(moore(3))
+_NEAR_MISSES = {
+    "duplicated": _MOORE3 + [_MOORE3[5]],
+    "duplicate-in-place": [_MOORE3[1]] + _MOORE3[1:],
+    "missing": _MOORE3[:7] + _MOORE3[8:],
+    "zero-added": _MOORE3 + [(0, 0, 0)],
+    "zero-in-place": [(0, 0, 0)] + _MOORE3[1:],
+    "sharp-r-shell": enumerate_offsets(k_radius(3, 2, 2, sharp_r=True)),
+    "sharp-k": enumerate_offsets(k_radius(3, 2, 1, sharp_k=True)),
+    "diamond": enumerate_offsets(diamond(3, 2)),
+    "far-offset": [(7, 0, 0) if off == (1, 0, 0) else off for off in _MOORE3],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_MISSES))
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_near_miss_lists_take_the_per_offset_path(name, boundary):
+    offs = _NEAR_MISSES[name]
+    assert engine._as_k_radius(offs, 3) is None
+    rng = np.random.default_rng(5)
+    grid = make_grid((4, 3, 5), boundary, np.argwhere(rng.random((4, 3, 5)) < 0.4))
+    counts = sorted({0, 1, 4, 9, len(offs) // 2, len(offs)})
+    _assert_both_paths_match_reference(grid, Rule(frozenset(counts[::2]), frozenset(counts[1::2])), offs)
+
+
+# k-radius sizes are even: |N| = 126 and 128 straddle the switch from uint8
+# at 127, and moore(2, 90) = 32760 and moore(2, 91) = 33488 the one from
+# uint16 at 32767; at d = 1 (k = 1, so per offset) 2r = 128 and 32768 are
+# just past either switch
+@pytest.mark.parametrize(
+    "spec, dims, dtype",
+    [
+        (k_radius(3, 2, 3), (3, 4, 2), np.uint8),
+        (k_radius(8, 2, 1), (2, 1, 2, 3, 2, 1, 2, 2), np.uint16),
+        (moore(2, 90), (3, 2), np.uint16),
+        (moore(2, 91), (3, 2), np.uint32),
+        (k_radius(1, 1, 64), (3,), np.uint16),
+        (k_radius(1, 1, 16384), (3,), np.uint32),
+    ],
+    ids=["126", "128", "32760", "33488", "d1-128", "d1-32768"],
+)
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_k_radius_lists_where_the_count_type_widens_match_reference_oracle(spec, dims, dtype, boundary):
+    offs = enumerate_offsets(spec)
+    want = (spec.k, spec.r) if spec.k >= 2 else None
+    assert engine._as_k_radius(offs, len(dims)) == want
+    assert _index_dtype(offs) == dtype
+    size = len(offs)
+    rule = Rule(frozenset({0, size // 2}), frozenset({1, size}))
+    full = set(itertools.product(*(range(n) for n in dims)))
+    # on the all-live torus every offset reads a live cell: the index is 2|N| + 1
+    soups = [full] if size > 1000 else [full, set(itertools.islice(sorted(full), 0, None, 3))]
+    for live in soups:
+        _assert_both_paths_match_reference(make_grid(dims, boundary, sorted(live)), rule, offs)
 
 
 # ---------------------------------------------------------------- text formats

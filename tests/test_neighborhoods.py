@@ -186,6 +186,19 @@ def test_enumeration_cap():
         enumerate_offsets(moore(16))  # 3**16 - 1 offsets, refused before any is made
 
 
+def test_enumeration_cap_counts_components(monkeypatch):
+    # 4,995,200 offsets of 40 components: under 2**24 offsets, over 2**24
+    # components, and refused before any offset is made
+    with pytest.raises(CapacityError, match="4995200 offsets of 40 components"):
+        enumerate_offsets(k_radius(40, 2, 40))
+    # the cap is on count * dimension: 26 offsets of 3 components fit 78
+    monkeypatch.setattr("nbhd.neighborhoods.DEFAULT_OFFSET_CAP", 78)
+    assert len(enumerate_offsets(moore(3))) == 26
+    monkeypatch.setattr("nbhd.neighborhoods.DEFAULT_OFFSET_CAP", 77)
+    with pytest.raises(CapacityError, match="cap of 77 components"):
+        enumerate_offsets(moore(3))
+
+
 def test_box_scan_cap():
     with pytest.raises(CapacityError):
         brute_force_count(moore(2, 5000))  # 10001**2 points, refused before the scan
