@@ -7,6 +7,7 @@ verification mismatch or runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import counting, engine, sequences
@@ -17,10 +18,13 @@ from .errors import (
     DomainError,
     ParseError,
 )
-from .neighborhoods import Family, NeighborhoodSpec, enumerate_offsets, format_offset
+from .neighborhoods import Family, NeighborhoodSpec, enumerate_offsets
 from .verification import run_verification
 
+_LINES_PER_WRITE = 4096  # enumerate's output lines per write to stdout
 
+
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbhd",
@@ -148,8 +152,10 @@ def main(argv: list[str] | None = None) -> int:
             print(sequences.format_term(counting.count(_spec_from_args(parser, args))))
             return 0
         if args.command == "enumerate":
-            for offset in enumerate_offsets(_spec_from_args(parser, args)):
-                print(format_offset(offset))
+            offsets = enumerate_offsets(_spec_from_args(parser, args))
+            line = ",".join(["%d"] * args.d) + "\n"  # after the cap check, which bounds d
+            for start in range(0, len(offsets), _LINES_PER_WRITE):
+                sys.stdout.write("".join([line % o for o in offsets[start : start + _LINES_PER_WRITE]]))
             return 0
         if args.command == "sequence":
             return _cmd_sequence(parser, args)

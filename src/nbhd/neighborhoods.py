@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, DimensionError, DomainError, ParseError
 
 Offset = tuple[int, ...]
@@ -30,9 +32,10 @@ Offset = tuple[int, ...]
 # Safety rails for counts, enumeration, box scans, grids and sequence terms.
 DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
 DEFAULT_OFFSET_CAP = 2**24  # components, offsets * dimension; about 12 bytes each as tuples
-DEFAULT_BOX_CAP = 2**26
+DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory stays bounded
 DEFAULT_CELL_CAP = 2**28  # grids and padded copies; a step holds about 13 bytes per cell
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
+_BOX_CHUNK = 2**16  # box points decoded at once: a (points, d) int64 array
 
 
 class Family(enum.Enum):
@@ -199,9 +202,10 @@ def enumerate_offsets(spec: NeighborhoodSpec) -> list[Offset]:
 def brute_force_count(spec: NeighborhoodSpec) -> int:
     """Count members by scanning every point of the box [-r, r]^d.
 
-    Deliberately independent of every closed-form formula; this is the
-    oracle the counting module is checked against.  Raises CapacityError
-    when the box holds more than DEFAULT_BOX_CAP (2**26 points).
+    Deliberately independent of every formula and of the enumeration; this is
+    the oracle the counting module is checked against.  Points are decoded in
+    chunks, base 2r+1, and tested by the rules of ``contains`` on arrays.
+    Raises CapacityError when the box holds more than DEFAULT_BOX_CAP (2**26).
     """
     d, r = spec.dimension, spec.r
     box = (2 * r + 1) ** d
@@ -209,9 +213,22 @@ def brute_force_count(spec: NeighborhoodSpec) -> int:
         raise CapacityError(
             f"box of {box} lattice points would exceed the cap of {DEFAULT_BOX_CAP}"
         )
-    return sum(
-        1 for delta in itertools.product(range(-r, r + 1), repeat=d) if contains(spec, delta)
-    )
+    found = 0
+    for start in range(0, box, _BOX_CHUNK):
+        rest = np.arange(start, min(start + _BOX_CHUNK, box), dtype=np.int64)
+        digits = np.empty((rest.size, d), dtype=np.int64)
+        for axis in range(d):
+            rest, digits[:, axis] = np.divmod(rest, 2 * r + 1)
+        size = np.abs(digits - r)
+        if spec.family is Family.DIAMOND:
+            total = size.sum(axis=1)
+            member = total == r if spec.sharp_r else (total > 0) & (total <= r)
+        else:
+            largest, nonzero = size.max(axis=1), np.count_nonzero(size, axis=1)
+            member = largest == r if spec.sharp_r else largest > 0
+            member &= nonzero == spec.k if spec.sharp_k else nonzero <= spec.k
+        found += int(np.count_nonzero(member))
+    return found
 
 
 # --------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from __future__ import annotations
 import decimal
 import enum
 import itertools
+import operator
 import re
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .counting import binomial, diamond_sharp_count, k_count
 from .errors import CapacityError, DomainError, ParseError
 from .neighborhoods import DEFAULT_TERM_CAP
 
@@ -39,26 +39,30 @@ class Mismatch(NamedTuple):
     actual: int  # value this package generates
 
 
-def _sharp_k_triangle() -> Iterator[int]:
-    # row d lists 2^k * C(d,k) for k = 0..d; the k = 0 entry is 1
+def _sharp_k_rows() -> Iterator[list[int]]:
+    # row d lists 2^k * C(d,k) for k = 0..d, each stepped from the one before
     for d in itertools.count():
-        for k in range(d + 1):
-            yield binomial(d, k) << k
+        row = [1]
+        for k in range(1, d + 1):
+            row.append(row[-1] * 2 * (d - k + 1) // k)
+        yield row
 
 
 def _k_triangle() -> Iterator[int]:
-    # row d lists the k-neighborhood sizes for k = 1..d
-    for d in itertools.count(1):
-        for k in range(1, d + 1):
-            yield k_count(d, k)
+    # row d lists the k-neighborhood sizes for k = 1..d: running sums of A013609's row d
+    for row in itertools.islice(_sharp_k_rows(), 1, None):
+        yield from itertools.accumulate(row[1:])
 
 
 def _diamond_sharp_antidiagonals() -> Iterator[int]:
     # square array indexed by (dimension, radius), both from 1, read by
-    # antidiagonals with the dimension increasing inside each antidiagonal
+    # antidiagonals with the dimension increasing inside each antidiagonal;
+    # T(d, r) = D(d, r) - D(d, r-1), with the Delannoy antidiagonals D(i, s-i) stepped
+    older, old = [1], [1, 1]
     for s in itertools.count(2):
-        for d in range(1, s):
-            yield diamond_sharp_count(d, s - d)
+        new = [1, *(old[i - 1] + older[i - 1] + old[i] for i in range(1, s)), 1]
+        yield from (new[d] - old[d] for d in range(1, s))
+        older, old = old, new
 
 
 def _delannoy_antidiagonals() -> Iterator[int]:
@@ -79,8 +83,9 @@ def _delannoy_antidiagonals() -> Iterator[int]:
 # index of the first term, and a generator of the terms, per sequence
 _SEQUENCES: dict[SequenceId, tuple[int, Callable[[], Iterator[int]]]] = {
     SequenceId.A005843: (0, lambda: (2 * n for n in itertools.count())),
-    SequenceId.A024023: (0, lambda: (3**n - 1 for n in itertools.count())),
-    SequenceId.A013609: (0, _sharp_k_triangle),
+    SequenceId.A024023: (0, lambda: (  # 3^n stepped as 3 * 3^(n-1)
+        p - 1 for p in itertools.accumulate(itertools.repeat(3), operator.mul, initial=1))),
+    SequenceId.A013609: (0, lambda: itertools.chain.from_iterable(_sharp_k_rows())),
     SequenceId.A265014: (1, _k_triangle),
     SequenceId.A266213: (1, _diamond_sharp_antidiagonals),
     SequenceId.A008288: (0, _delannoy_antidiagonals),

@@ -1,5 +1,7 @@
 import io
 import itertools
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from nbhd import load_pattern
+import nbhd
+from nbhd import cli, diamond, enumerate_offsets, format_offset, k_radius, load_pattern, moore
 from nbhd.cli import main
 from nbhd.neighborhoods import DEFAULT_TERM_CAP
 from nbhd.sequences import SequenceId, format_term
@@ -82,6 +85,30 @@ def test_enumerate_one_axis_shell_at_a_huge_radius(capsys, family):
     r = "99999999999999999999"
     code, out, err = run_cli(capsys, "enumerate", "--d", "1", *family, "--r", r, "--sharp-r")
     assert (code, out, err) == (0, f"-{r}\n{r}\n", "")
+
+
+@pytest.mark.parametrize(
+    "spec, flags",
+    [
+        # negative and two-digit components
+        (k_radius(1, 1, 12), ["--d", "1", "--k", "1", "--r", "12"]),
+        (diamond(3, 4, sharp_r=True), ["--d", "3", "--diamond", "--r", "4", "--sharp-r"]),
+        # 6560 lines, more than one write
+        (moore(2, 40), ["--d", "2", "--k", "2", "--r", "40"]),
+    ],
+)
+def test_enumerate_writes_one_formatted_offset_per_line(capsys, spec, flags):
+    offsets = enumerate_offsets(spec)
+    if spec == moore(2, 40):
+        assert len(offsets) > cli._LINES_PER_WRITE
+    code, out, err = run_cli(capsys, "enumerate", *flags)
+    assert (code, out, err) == (0, "".join(format_offset(o) + "\n" for o in offsets), "")
+
+
+def test_enumerate_huge_dimension_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--d", "99999999999999999999", "--k", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_enumerate_over_cap_is_runtime_failure(capsys):
@@ -337,6 +364,34 @@ def test_simulate_bad_rule_is_usage_error(tmp_path):
             ]
         )
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- one parser
+
+
+def test_reused_parser_behaves_like_a_fresh_process(capsys, tmp_path):
+    pattern = tmp_path / "glider.txt"
+    pattern.write_text(GLIDER_LINES)
+    count = ["count", "--d", "3", "--k", "2", "--r", "2"]
+    calls = [
+        ["count", "--d", "3", "--k", "x"],  # usage error, exit 2
+        count,
+        ["simulate", "--dims", "8,8", "--k", "2", "--rule", "B3/S23", "--steps", "4",
+         "--pattern", str(pattern), "--snapshot-every", "2"],
+        count,
+    ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nbhd.__file__))}
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "nbhd", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 # ---------------------------------------------------------------- usage errors

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,35 @@ def test_enumeration_cap_counts_components(monkeypatch):
 def test_box_scan_cap():
     with pytest.raises(CapacityError):
         brute_force_count(moore(2, 5000))  # 10001**2 points, refused before the scan
+
+
+@st.composite
+def _small_specs(draw):
+    # d <= 4 and r <= 3, both families, every sharpness
+    d, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return diamond(d, r, sharp_r=draw(st.booleans()))
+    k = draw(st.integers(1, d))
+    return k_radius(d, k, r, sharp_k=draw(st.booleans()), sharp_r=draw(st.booleans()))
+
+
+def _scalar_count(spec):
+    box = itertools.product(range(-spec.r, spec.r + 1), repeat=spec.dimension)
+    return sum(contains(spec, p) for p in box)
+
+
+@settings(deadline=None, max_examples=150)
+@given(spec=_small_specs())
+def test_box_scan_matches_contains(spec):
+    assert brute_force_count(spec) == _scalar_count(spec)
+
+
+@settings(deadline=None, max_examples=40)
+@given(spec=_small_specs(), chunk=st.sampled_from([7, 31, 97]))
+def test_box_scan_chunk_edges_inside_the_box(spec, chunk):
+    # small odd chunks end inside the box, mid-row on every axis
+    with mock.patch("nbhd.neighborhoods._BOX_CHUNK", chunk):
+        assert brute_force_count(spec) == _scalar_count(spec)
 
 
 def test_high_dimension_small_count_stays_fast():
