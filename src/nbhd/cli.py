@@ -1,14 +1,18 @@
 """Command-line surface: count, enumerate, sequence, verify, simulate.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
-verification mismatch or runtime failure, 2 usage error.
+verification mismatch or runtime failure, 2 usage error.  A stdout closed by
+its reader ends the command quietly, with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+
+import numpy as np
 
 from . import counting, engine, sequences
 from .errors import (
@@ -18,10 +22,10 @@ from .errors import (
     DomainError,
     ParseError,
 )
-from .neighborhoods import Family, NeighborhoodSpec, enumerate_offsets
+from .neighborhoods import Family, NeighborhoodSpec, enumerate_offsets, offset_array
 from .verification import run_verification
 
-_LINES_PER_WRITE = 4096  # enumerate's output lines per write to stdout
+_ROWS_PER_WRITE = 16384  # enumerate's offsets formatted and written at once
 
 
 @functools.cache  # parse_args keeps no state in the parser, so one serves every call
@@ -143,25 +147,64 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return 0
 
 
+def _offset_lines(rows: np.ndarray) -> bytes:
+    """``rows`` as text, one "c1,...,cd" line per row, as ``%d`` writes them.
+
+    Each component gets a slot of a sign byte, its digits and a separator;
+    a 0 byte marks what is not written (a plus sign, leading zeros), and one
+    mask drops those.  Digits come from // and %, which object arrays have too.
+    """
+    values = rows.ravel()
+    rest = np.abs(values)
+    width = len(str(rest.max()))  # digits of the widest component
+    chars = np.zeros((len(values), width + 2), dtype=np.uint8)
+    chars[:, 0] = (values < 0) * ord("-")
+    for column in range(width, 0, -1):
+        digit = (rest % 10 + ord("0")).astype(np.uint8)
+        # a leading zero is not written; the units digit is, for 0 too
+        chars[:, column] = digit if column == width else digit * (rest > 0)
+        rest = rest // 10
+    chars[:, -1] = ord(",")
+    chars[rows.shape[1] - 1 :: rows.shape[1], -1] = ord("\n")
+    return chars[chars != 0].tobytes()
+
+
+def _cmd_enumerate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    rows = offset_array(_spec_from_args(parser, args))
+    sys.stdout.flush()
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        sys.stdout.buffer.write(_offset_lines(rows[start : start + _ROWS_PER_WRITE]))
+    return 0
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.command == "count":
+        print(sequences.format_term(counting.count(_spec_from_args(parser, args))))
+        return 0
+    if args.command == "enumerate":
+        return _cmd_enumerate(parser, args)
+    if args.command == "sequence":
+        return _cmd_sequence(parser, args)
+    if args.command == "verify":
+        return _cmd_verify(args)
+    return _cmd_simulate(parser, args)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "count":
-            print(sequences.format_term(counting.count(_spec_from_args(parser, args))))
-            return 0
-        if args.command == "enumerate":
-            offsets = enumerate_offsets(_spec_from_args(parser, args))
-            line = ",".join(["%d"] * args.d) + "\n"  # after the cap check, which bounds d
-            for start in range(0, len(offsets), _LINES_PER_WRITE):
-                sys.stdout.write("".join([line % o for o in offsets[start : start + _LINES_PER_WRITE]]))
-            return 0
-        if args.command == "sequence":
-            return _cmd_sequence(parser, args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_simulate(parser, args)
+        code = _run(parser, args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading, as `| head` does: stop quietly, and let
+        # the flush at exit write what is left to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (CapacityError, DomainError, DimensionError, BoundsError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

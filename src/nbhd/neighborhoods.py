@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +31,12 @@ Offset = tuple[int, ...]
 
 # Safety rails for counts, enumeration, box scans, grids and sequence terms.
 DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
-DEFAULT_OFFSET_CAP = 2**24  # components, offsets * dimension; about 12 bytes each as tuples
+# at its peak offset_array holds 3-13 bytes per component, enumerate_offsets 20-70
+DEFAULT_OFFSET_CAP = 2**24  # components, offsets * dimension
 DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory stays bounded
-DEFAULT_CELL_CAP = 2**28  # grids and padded copies; a step holds about 13 bytes per cell
+# a per-offset step holds about 12 bytes per cell; a ring step on short axes
+# holds padded partial sums, about 49 bytes per cell on a 6^8 torus
+DEFAULT_CELL_CAP = 2**28  # grids and padded copies
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
 _BOX_CHUNK = 2**16  # box points decoded at once: a (points, d) int64 array
 
@@ -130,63 +133,71 @@ def contains(spec: NeighborhoodSpec, delta: Sequence[int]) -> bool:
     return largest == spec.r if spec.sharp_r else True
 
 
-def _nonzero_values(r: int) -> tuple[int, ...]:
-    return tuple(range(-r, 0)) + tuple(range(1, r + 1))
+def _nonzero(r: int, dtype) -> np.ndarray:
+    return np.concatenate((np.arange(-r, 0, dtype=dtype), np.arange(1, r + 1, dtype=dtype)))
 
 
-def _place(dimension: int, positions: tuple[int, ...], values: tuple[int, ...]) -> Offset:
-    offset = [0] * dimension
-    for pos, val in zip(positions, values):
-        offset[pos] = val
-    return tuple(offset)
+def _product(columns: list[np.ndarray]) -> np.ndarray:
+    """Rows of the cartesian product of ``columns``, one column each."""
+    grids = np.meshgrid(*columns, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of ``parts`` positive integers summing to ``total``."""
-    # one part needs no cut, and so no range, however large the total
-    for cuts in itertools.combinations(range(1, total) if parts > 1 else (), parts - 1):
-        bounds = (0, *cuts, total)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+def _k_radius_values(j: int, r: int, sharp_r: bool, dtype) -> np.ndarray:
+    """(m, j) rows of values in -r..r without 0 (with some +-r on the shell)."""
+    if not sharp_r:
+        return _product([_nonzero(r, dtype)] * j)
+    # a shell row is made once, from the axis of its first +-r: axes before it
+    # stay inside r (j = 1 builds no range, however large r is)
+    edge = np.array([-r, r], dtype=dtype)
+    if j == 1:
+        return edge[:, None]
+    inner, outer = _nonzero(r - 1, dtype), _nonzero(r, dtype)
+    return np.concatenate(
+        [_product([inner] * first + [edge] + [outer] * (j - 1 - first)) for first in range(j)]
+    )
 
 
-def _members(spec: NeighborhoodSpec) -> Iterator[Offset]:
-    # Generates each member exactly once: the nonzero positions of an offset
-    # determine its decomposition, so distinct (positions, values) choices
-    # give distinct offsets.
-    d, r = spec.dimension, spec.r
-    if spec.family is Family.DIAMOND:
-        for j in range(1, min(d, r) + 1):
-            totals = (r,) if spec.sharp_r else range(j, r + 1)
-            for positions in itertools.combinations(range(d), j):
-                for total in totals:
-                    for magnitudes in _compositions(total, j):
-                        for signs in itertools.product((-1, 1), repeat=j):
-                            values = tuple(s * m for s, m in zip(signs, magnitudes))
-                            yield _place(d, positions, values)
-        return
-    sizes = (spec.k,) if spec.sharp_k else range(1, spec.k + 1)
-    for j in sizes:
-        # a shell member is made once, from the axis of its first +-r (axes before
-        # it stay inside r, and j = 1 builds no range); off the shell first = -1
-        firsts = range(j) if spec.sharp_r else (-1,)
-        for positions in itertools.combinations(range(d), j):
-            for first in firsts:
-                axes = (
-                    (-r, r) if i == first else _nonzero_values(r - 1 if i < first else r)
-                    for i in range(j)
-                )
-                for values in itertools.product(*axes):
-                    yield _place(d, positions, values)
+def _diamond_values(j: int, r: int, sharp_r: bool, dtype) -> np.ndarray:
+    """(m, j) rows of nonzero values whose magnitudes sum to at most r
+    (exactly r on the shell)."""
+    magnitudes = np.zeros((1, 0), dtype)
+    total = np.zeros(1, dtype)
+    for axis in range(j - 1 if sharp_r else j):
+        # each prefix keeps at least 1 for every axis after it, so none is a dead end
+        room = (r - (j - 1 - axis) - total).astype(np.intp)
+        source = np.repeat(np.arange(len(total)), room)
+        value = (np.arange(1, len(source) + 1) - np.repeat(np.cumsum(room) - room, room)).astype(dtype)
+        magnitudes = np.column_stack((magnitudes[source], value))
+        total = total[source] + value
+    if sharp_r:  # the last magnitude is whatever is left of r
+        magnitudes = np.column_stack((magnitudes, r - total))
+    signs = _product([np.array([-1, 1], dtype=dtype)] * j)
+    return (magnitudes[:, None, :] * signs[None, :, :]).reshape(-1, j)
 
 
-def enumerate_offsets(spec: NeighborhoodSpec) -> list[Offset]:
-    """All member offsets of ``spec`` in lexicographic order.
+def _scatter(d: int, values: np.ndarray) -> np.ndarray:
+    """Rows of d components: each row of ``values`` on every choice of its
+    number of axes, zeros elsewhere."""
+    j = values.shape[1]
+    axes = np.array(list(itertools.combinations(range(d), j)), dtype=np.intp)
+    block = np.zeros((len(axes), len(values), d), dtype=values.dtype)
+    placement, row = np.ogrid[: len(axes), : len(values)]
+    block[placement[:, :, None], row[:, :, None], axes[:, None, :]] = values
+    return block.reshape(-1, d)
 
-    The first component is most significant and each component ranges over
-    -r..r.  The result contains no duplicates and never the zero offset, and
-    its length equals count(spec).  Raises CapacityError, before any offset
-    is made, when the offsets hold more than DEFAULT_OFFSET_CAP (2**24)
-    components in all, count(spec) * dimension.
+
+def offset_array(spec: NeighborhoodSpec) -> np.ndarray:
+    """All member offsets of ``spec`` as an (n, d) array in lexicographic order.
+
+    One block per number j of nonzero components: its (m, j) value rows are
+    made once and scattered into the C(d, j) choices of nonzero axes, so no
+    intermediate array is larger than its block.  Each member is made once,
+    since its nonzero axes and values determine it.  The dtype is the
+    narrowest signed integer type that holds -r..r (int8 up to r = 127), or
+    object, holding exact Python ints, past int64.  Raises CapacityError,
+    before any offset is made, when the offsets hold more than
+    DEFAULT_OFFSET_CAP (2**24) components in all, count(spec) * dimension.
     """
     from .counting import count  # counting imports this module; import at call time
 
@@ -196,7 +207,28 @@ def enumerate_offsets(spec: NeighborhoodSpec) -> list[Offset]:
             f"{total} offsets of {spec.dimension} components would exceed "
             f"the cap of {DEFAULT_OFFSET_CAP} components"
         )
-    return sorted(_members(spec))
+    d, r = spec.dimension, spec.r
+    # narrow keys also make np.lexsort's per-key sorts radix sorts (<= 16 bits)
+    dtype = np.min_scalar_type(-r - 1)
+    if spec.family is Family.DIAMOND:
+        blocks = [_diamond_values(j, r, spec.sharp_r, dtype) for j in range(1, min(d, r) + 1)]
+    else:
+        sizes = (spec.k,) if spec.sharp_k else range(1, spec.k + 1)
+        blocks = [_k_radius_values(j, r, spec.sharp_r, dtype) for j in sizes]
+    rows = np.concatenate([_scatter(d, values) for values in blocks])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def enumerate_offsets(spec: NeighborhoodSpec) -> list[Offset]:
+    """All member offsets of ``spec`` in lexicographic order, as tuples of ints.
+
+    The first component is most significant and each component ranges over
+    -r..r.  The result contains no duplicates and never the zero offset, and
+    its length equals count(spec).  Raises CapacityError as ``offset_array``
+    does.
+    """
+    # the tuples share the ints of the column lists, so no list per row is made
+    return list(zip(*offset_array(spec).T.tolist()))
 
 
 def brute_force_count(spec: NeighborhoodSpec) -> int:

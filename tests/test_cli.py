@@ -1,5 +1,7 @@
+import hashlib
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -15,8 +17,9 @@ from hypothesis import strategies as st
 import nbhd
 from nbhd import cli, diamond, enumerate_offsets, format_offset, k_radius, load_pattern, moore
 from nbhd.cli import main
-from nbhd.neighborhoods import DEFAULT_TERM_CAP
+from nbhd.neighborhoods import DEFAULT_TERM_CAP, Family
 from nbhd.sequences import SequenceId, format_term
+from nbhd.verification import iter_specs
 
 GLIDER_LINES = "1,2\n2,3\n3,1\n3,2\n3,3\n"
 
@@ -93,16 +96,68 @@ def test_enumerate_one_axis_shell_at_a_huge_radius(capsys, family):
         # negative and two-digit components
         (k_radius(1, 1, 12), ["--d", "1", "--k", "1", "--r", "12"]),
         (diamond(3, 4, sharp_r=True), ["--d", "3", "--diamond", "--r", "4", "--sharp-r"]),
-        # 6560 lines, more than one write
-        (moore(2, 40), ["--d", "2", "--k", "2", "--r", "40"]),
+        # 19880 lines, more than one write
+        (moore(2, 70), ["--d", "2", "--k", "2", "--r", "70"]),
+        # components either side of the int8, int16, int32 and int64 edges
+        *[
+            (k_radius(2, k, r, sharp_r=True), ["--d", "2", "--k", str(k), "--r", str(r), "--sharp-r"])
+            for k, r in [(2, 127), (2, 128), (1, 2**15 - 1), (1, 2**15), (1, 2**31), (1, 2**63 - 1), (1, 2**63)]
+        ],
     ],
 )
 def test_enumerate_writes_one_formatted_offset_per_line(capsys, spec, flags):
     offsets = enumerate_offsets(spec)
-    if spec == moore(2, 40):
-        assert len(offsets) > cli._LINES_PER_WRITE
+    if spec == moore(2, 70):
+        assert len(offsets) > cli._ROWS_PER_WRITE
     code, out, err = run_cli(capsys, "enumerate", *flags)
     assert (code, out, err) == (0, "".join(format_offset(o) + "\n" for o in offsets), "")
+
+
+def _flags(spec):
+    kind = ["--diamond"] if spec.family is Family.DIAMOND else ["--k", str(spec.k)]
+    sharp = ["--sharp-k"] * spec.sharp_k + ["--sharp-r"] * spec.sharp_r
+    return " ".join(["--d", str(spec.dimension), *kind, "--r", str(spec.r), *sharp])
+
+
+def test_enumerate_output_matches_golden_hashes(capsysbinary):
+    # sha256 of the stdout of every spec with d <= 6 and r <= 5, recorded
+    # from the tuple-by-tuple enumeration that came before offset_array
+    path = Path(__file__).parent / "fixtures" / "enumerate_sha256.json"
+    golden = json.loads(path.read_text())
+    assert list(golden) == [_flags(spec) for spec in iter_specs(6, 6, 5)]
+    got = {}
+    for flags in golden:
+        assert main(["enumerate", *flags.split()]) == 0
+        out, err = capsysbinary.readouterr()
+        assert err == b""
+        got[flags] = hashlib.sha256(out).hexdigest()
+    assert got == golden
+
+
+def test_enumerate_stops_quietly_on_a_closed_pipe():
+    # the reader takes the first of about 2 MB of lines and closes the pipe,
+    # as `| head -1` does
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nbhd.__file__))}
+    with subprocess.Popen(
+        [sys.executable, "-m", "nbhd", "enumerate", "--d", "6", "--k", "6", "--r", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"-3,-3,-3,-3,-3,-3\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_enumeration_length_does_not_come_from_count(capsys):
+    # a count that is off by one shows in verify; the offsets stay the same
+    with mock.patch("nbhd.counting.count", lambda spec, _count=nbhd.count: _count(spec) + 1):
+        assert len(enumerate_offsets(moore(2))) == 8
+        code, out, err = run_cli(capsys, "verify", "--max-d", "2", "--max-r", "1")
+    assert code == 1
+    assert "closed form vs box scan vs enumeration" in out.splitlines()[-2]
+    assert out.splitlines()[-2].endswith("FAIL") and out.endswith("verification FAILED\n")
+    # k_radius(1, 1, 1): the enumeration agrees with the box scan, not with the count
+    assert err.splitlines()[0].endswith("count=3, box scan=2, enumeration=2")
 
 
 def test_enumerate_huge_dimension_is_one_error_line(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -14,12 +15,14 @@ from nbhd import (
     ParseError,
     brute_force_count,
     contains,
+    count,
     diamond,
     enumerate_offsets,
     format_offset,
     k_radius,
     moore,
     narrow_von_neumann,
+    offset_array,
     parse_offset,
     von_neumann,
 )
@@ -238,6 +241,48 @@ def test_high_dimension_small_count_stays_fast():
     # direct generation must not scan the 3^20 bounding box
     spec = k_radius(20, 1, 1)
     assert len(enumerate_offsets(spec)) == 40
+
+
+@settings(deadline=None, max_examples=150)
+@given(spec=_small_specs())
+def test_offset_array_is_the_filtered_box(spec):
+    box = itertools.product(range(-spec.r, spec.r + 1), repeat=spec.dimension)
+    assert offset_array(spec).tolist() == [list(p) for p in box if contains(spec, p)]
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (k_radius(2, 2, 2**14, sharp_r=True), 8 * 2**14),  # (2r+1)**2 - (2r-1)**2
+        (diamond(2, 2**14, sharp_r=True), 4 * 2**14),
+    ],
+)
+def test_shells_are_built_without_their_box(spec, n):
+    # the box holds about 2**30 points; the build may hold a few copies of
+    # its output, never the box
+    tracemalloc.start()
+    try:
+        rows = offset_array(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == count(spec) == n
+    assert peak <= 16 * rows.nbytes
+    assert len(enumerate_offsets(spec)) == n
+
+
+def test_huge_radius_offsets_are_exact_ints():
+    spec = k_radius(3, 1, 10**20, sharp_r=True)
+    got = enumerate_offsets(spec)
+    assert len(got) == count(spec) == 6
+    assert got == sorted(
+        tuple(sign * 10**20 * (i == axis) for i in range(3)) for axis in range(3) for sign in (-1, 1)
+    )
+    assert all(type(c) is int for offset in got for c in offset)
+
+
+def test_enumerated_components_are_python_ints():
+    assert type(enumerate_offsets(moore(2))[0][0]) is int
 
 
 # ---------------------------------------------------------------- offset text
