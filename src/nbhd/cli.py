@@ -12,8 +12,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import counting, engine, sequences
 from .errors import (
     BoundsError,
@@ -22,7 +20,7 @@ from .errors import (
     DomainError,
     ParseError,
 )
-from .neighborhoods import Family, NeighborhoodSpec, enumerate_offsets, offset_array
+from .neighborhoods import Family, NeighborhoodSpec, _offset_lines, enumerate_offsets, offset_array
 from .verification import run_verification
 
 _ROWS_PER_WRITE = 16384  # enumerate's offsets formatted and written at once
@@ -145,28 +143,6 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             print()
     print(f"final population {engine.population(grid)}")
     return 0
-
-
-def _offset_lines(rows: np.ndarray) -> bytes:
-    """``rows`` as text, one "c1,...,cd" line per row, as ``%d`` writes them.
-
-    Each component gets a slot of a sign byte, its digits and a separator;
-    a 0 byte marks what is not written (a plus sign, leading zeros), and one
-    mask drops those.  Digits come from // and %, which object arrays have too.
-    """
-    values = rows.ravel()
-    rest = np.abs(values)
-    width = len(str(rest.max()))  # digits of the widest component
-    chars = np.zeros((len(values), width + 2), dtype=np.uint8)
-    chars[:, 0] = (values < 0) * ord("-")
-    for column in range(width, 0, -1):
-        digit = (rest % 10 + ord("0")).astype(np.uint8)
-        # a leading zero is not written; the units digit is, for 0 too
-        chars[:, column] = digit if column == width else digit * (rest > 0)
-        rest = rest // 10
-    chars[:, -1] = ord(",")
-    chars[rows.shape[1] - 1 :: rows.shape[1], -1] = ord("\n")
-    return chars[chars != 0].tobytes()
 
 
 def _cmd_enumerate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

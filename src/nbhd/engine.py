@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
 from .counting import count
-from .neighborhoods import DEFAULT_CELL_CAP, Offset, k_radius
+from .neighborhoods import _INTEGER, DEFAULT_CELL_CAP, Offset, _offset_lines, k_radius
 
 
 class Boundary(enum.Enum):
@@ -177,7 +177,7 @@ def live_cells(grid: Grid) -> list[tuple[int, ...]]:
     return list(map(tuple, np.argwhere(grid.states).tolist()))
 
 
-def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
+def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid:
     """One synchronous update.
 
     A cell's next state is 1 iff it is dead with a live-neighbor count in
@@ -189,8 +189,13 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset]) -> Grid:
     k >= 2, in any order, the counts come from per-axis ring sums
     (_ring_index); any other list, k = 1 sets included, is added one offset
     at a time (_offset_index), since a k = 1 ring sum is one add per offset
-    too.  Both give the same counts.
+    too.  Both give the same counts.  An (n, d) array, as offset_array
+    returns, is taken as its rows.
     """
+    if isinstance(offsets, np.ndarray):
+        # narrow numpy scalars overflow against axis lengths past their type
+        # (int8 + 256), and the k-radius recognition is ~10x slower on them
+        offsets = list(map(tuple, offsets.tolist()))
     d = len(grid.dims)
     for off in offsets:
         if len(off) != d:
@@ -330,7 +335,7 @@ def _add_ring(
 def run(
     grid: Grid,
     rule: Rule,
-    offsets: Sequence[Offset],
+    offsets: Sequence[Offset] | np.ndarray,
     steps: int,
     observer: Callable[[int, int], None] | None = None,
 ) -> Grid:
@@ -405,7 +410,6 @@ def _loadtxt(source: IO[str] | list[str]) -> np.ndarray:
 
 
 _BLANK_LINE = re.compile(r"^[^\S\n]*(?:#.*)?$", re.MULTILINE)
-_FIELD = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
 
 
@@ -418,7 +422,7 @@ def _check_pattern_lines(lines: Iterable[str]) -> None:
             continue
         fields = [f.strip() for f in text.split(",")]
         for field in fields:
-            if not _FIELD.fullmatch(field):
+            if not _INTEGER.fullmatch(field):
                 raise ParseError(f"line {lineno}: {field!r} is not an integer")
             # past 19 significant digits no value fits, and int() stops at 4300
             if len(field.lstrip("+-").lstrip("0")) > 19 or not _INT64.min <= int(field) <= _INT64.max:
@@ -440,8 +444,4 @@ def render_snapshot(grid: Grid) -> str:
         chars = np.full((rows, cols + 1), ord("\n"), dtype=np.uint8)
         chars[:, :cols] = np.where(grid.states, ord("O"), ord("."))
         return chars.tobytes()[:-1].decode("ascii")
-    # one %-format over all coordinates, not one tuple per cell; '%d' writes
-    # an int as str() does, so each line equals format_offset of its cell
-    cells = np.argwhere(grid.states)
-    line = ",".join(["%d"] * len(grid.dims))
-    return "\n".join([line] * len(cells)) % tuple(cells.ravel().tolist())
+    return _offset_lines(np.argwhere(grid.states)).decode("ascii")[:-1]

@@ -18,8 +18,11 @@ pure, so everything is safe to share between threads.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import itertools
+import operator
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +42,7 @@ DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory st
 DEFAULT_CELL_CAP = 2**28  # grids and padded copies
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
 _BOX_CHUNK = 2**16  # box points decoded at once: a (points, d) int64 array
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # an integer field of offset, pattern and b-file text
 
 
 class Family(enum.Enum):
@@ -268,12 +272,40 @@ def brute_force_count(spec: NeighborhoodSpec) -> int:
 
 
 def format_offset(offset: Sequence[int]) -> str:
-    return ",".join(str(c) for c in offset)
+    """``offset`` as "c1,...,cd", exact at any size: each component goes
+    through Decimal, as sequences.format_term does, since str(int) stops at
+    the interpreter's 4300-digit limit."""
+    return ",".join(str(decimal.Decimal(operator.index(c))) for c in offset)
 
 
 def parse_offset(text: str) -> Offset:
-    fields = text.strip().split(",")
-    try:
-        return tuple(int(f) for f in fields)
-    except ValueError:
-        raise ParseError(f"not a comma-separated integer tuple: {text!r}") from None
+    """The inverse of ``format_offset``: each comma-separated field is
+    ``[+-]?[0-9]+`` after stripping whitespace, as in pattern files and
+    b-files; anything else raises ParseError."""
+    fields = [f.strip() for f in text.split(",")]
+    if not all(_INTEGER.fullmatch(f) for f in fields):
+        raise ParseError(f"not a comma-separated integer tuple: {text!r}")
+    return tuple(int(decimal.Decimal(f)) for f in fields)
+
+
+def _offset_lines(rows: np.ndarray) -> bytes:
+    """``rows`` as text, one ``format_offset`` line per row, each ending in "\n".
+
+    Each component gets a slot of a sign byte, its digits and a separator;
+    a 0 byte marks what is not written (a plus sign, leading zeros), and one
+    mask drops those.  Digits come from // and %, which object arrays have too.
+    Zero rows give no bytes.
+    """
+    values = rows.ravel()
+    rest = np.abs(values)
+    width = len(format_offset([rest.max(initial=0)]))  # digits of the widest component
+    chars = np.zeros((len(values), width + 2), dtype=np.uint8)
+    chars[:, 0] = (values < 0) * ord("-")
+    for column in range(width, 0, -1):
+        digit = (rest % 10 + ord("0")).astype(np.uint8)
+        # a leading zero is not written; the units digit is, for 0 too
+        chars[:, column] = digit if column == width else digit * (rest > 0)
+        rest = rest // 10
+    chars[:, -1] = ord(",")
+    chars[rows.shape[1] - 1 :: rows.shape[1], -1] = ord("\n")
+    return chars[chars != 0].tobytes()

@@ -12,11 +12,10 @@ import decimal
 import enum
 import itertools
 import operator
-import re
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, DomainError, ParseError
-from .neighborhoods import DEFAULT_TERM_CAP
+from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP
 
 
 class SequenceId(enum.Enum):
@@ -54,30 +53,16 @@ def _k_triangle() -> Iterator[int]:
         yield from itertools.accumulate(row[1:])
 
 
-def _diamond_sharp_antidiagonals() -> Iterator[int]:
-    # square array indexed by (dimension, radius), both from 1, read by
-    # antidiagonals with the dimension increasing inside each antidiagonal;
-    # T(d, r) = D(d, r) - D(d, r-1), with the Delannoy antidiagonals D(i, s-i) stepped
-    older, old = [1], [1, 1]
-    for s in itertools.count(2):
+def _delannoy_antidiagonals() -> Iterator[list[int]]:
+    # antidiagonal s of the Delannoy square lists D(i, s - i) for i = 0..s;
+    # D(i, j) = D(i-1, j) + D(i-1, j-1) + D(i, j-1) reads the two antidiagonals
+    # before it; each antidiagonal is a palindrome, so the direction does not matter
+    older, old = [], [1]
+    yield old
+    for s in itertools.count(1):
         new = [1, *(old[i - 1] + older[i - 1] + old[i] for i in range(1, s)), 1]
-        yield from (new[d] - old[d] for d in range(1, s))
+        yield new
         older, old = old, new
-
-
-def _delannoy_antidiagonals() -> Iterator[int]:
-    # Delannoy square indexed from (0, 0), read by antidiagonals; each
-    # antidiagonal is a palindrome, so the direction does not matter
-    table: dict[tuple[int, int], int] = {}
-    for s in itertools.count():
-        for i in range(s + 1):
-            j = s - i
-            if i == 0 or j == 0:
-                value = 1
-            else:
-                value = table[i - 1, j] + table[i - 1, j - 1] + table[i, j - 1]
-            table[i, j] = value
-            yield value
 
 
 # index of the first term, and a generator of the terms, per sequence
@@ -87,8 +72,12 @@ _SEQUENCES: dict[SequenceId, tuple[int, Callable[[], Iterator[int]]]] = {
         p - 1 for p in itertools.accumulate(itertools.repeat(3), operator.mul, initial=1))),
     SequenceId.A013609: (0, lambda: itertools.chain.from_iterable(_sharp_k_rows())),
     SequenceId.A265014: (1, _k_triangle),
-    SequenceId.A266213: (1, _diamond_sharp_antidiagonals),
-    SequenceId.A008288: (0, _delannoy_antidiagonals),
+    # square array T(d, r) = D(d, r) - D(d, r-1), both indexed from 1, read by
+    # antidiagonals with the dimension increasing inside each antidiagonal
+    SequenceId.A266213: (1, lambda: (
+        new[d] - old[d] for old, new in itertools.pairwise(_delannoy_antidiagonals())
+        for d in range(1, len(old)))),
+    SequenceId.A008288: (0, lambda: itertools.chain.from_iterable(_delannoy_antidiagonals())),
 }
 
 
@@ -141,7 +130,7 @@ def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
         fields = line.split()
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected 'n a(n)', got {line!r}")
-        if not all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
+        if not all(_INTEGER.fullmatch(f) for f in fields):
             raise ParseError(f"line {lineno}: non-integer field in {line!r}")
         # through Decimal, the inverse of format_term: int(str) stops at 4300 digits
         entries.append(SequenceEntry(*(int(decimal.Decimal(f)) for f in fields)))

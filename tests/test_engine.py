@@ -26,6 +26,7 @@ from nbhd import (
     make_grid,
     moore,
     narrow_von_neumann,
+    offset_array,
     parse_rule,
     population,
     render_snapshot,
@@ -73,7 +74,7 @@ def test_make_grid_validates():
 
 def test_live_cells_and_snapshots_match_per_cell_expressions():
     rng = np.random.default_rng(17)
-    for dims in [(64, 64), (40,), (6, 5, 4), (5, 4, 3, 3, 4)]:
+    for dims in [(64, 64), (40,), (300,), (6, 5, 4), (5, 4, 3, 3, 4)]:
         grid = make_grid(dims, live_cells=np.argwhere(rng.random(dims) < 0.3))
         cells = [tuple(int(c) for c in cell) for cell in np.argwhere(grid.states)]
         assert live_cells(grid) == cells
@@ -445,6 +446,18 @@ def test_near_miss_lists_take_the_per_offset_path(name, boundary):
     grid = make_grid((4, 3, 5), boundary, np.argwhere(rng.random((4, 3, 5)) < 0.4))
     counts = sorted({0, 1, 4, 9, len(offs) // 2, len(offs)})
     _assert_both_paths_match_reference(grid, Rule(frozenset(counts[::2]), frozenset(counts[1::2])), offs)
+
+
+# diamond(2, 5) on 512^2 folds int8 components past 127 (per-offset path);
+# moore(2, 5) is recognised as k-radius (ring path)
+@pytest.mark.parametrize("spec, n", [(diamond(2, 5), 512), (moore(2, 5), 64)])
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_offset_array_rows_step_as_the_tuple_list(spec, n, boundary):
+    rng = np.random.default_rng(11)
+    grid = make_grid((n, n), boundary, np.argwhere(rng.random((n, n)) < 0.3))
+    array, offs = offset_array(spec), enumerate_offsets(spec)
+    assert step(grid, LIFE, array) == step(grid, LIFE, offs)
+    assert run(grid, LIFE, array, 2) == run(grid, LIFE, offs, 2)
 
 
 # k-radius sizes are even: |N| = 126 and 128 straddle the switch from uint8

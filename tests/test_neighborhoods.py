@@ -2,6 +2,7 @@ import itertools
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,7 +295,23 @@ def test_offset_text_round_trip(parts):
     assert parse_offset(format_offset(off)) == off
 
 
-@pytest.mark.parametrize("text", ["", "1,,2", "a,b", "1;2"])
+def test_offset_text_round_trip_is_exact_past_the_int_to_str_limit():
+    spec = k_radius(1, 1, 10**5000, sharp_r=True)
+    offs = enumerate_offsets(spec)
+    assert offs == [(-(10**5000),), (10**5000,)]
+    for off in offs + [(10**5000, -(10**5000), 0)]:
+        assert parse_offset(format_offset(off)) == off
+    assert format_offset(offs[1]) == "1" + "0" * 5000
+    assert format_offset(offset_array(spec)[0]) == "-1" + "0" * 5000
+
+
+def test_format_offset_takes_numpy_ints():
+    rows = offset_array(moore(2, 2))
+    assert [format_offset(row) for row in rows] == [format_offset(o) for o in enumerate_offsets(moore(2, 2))]
+    assert format_offset(np.array([-128, 0, 127], dtype=np.int8)) == "-128,0,127"
+
+
+@pytest.mark.parametrize("text", ["", "1,,2", "a,b", "1;2", "1_0,2", "\u0661", "1,\u0662", "+-1", "1.0"])
 def test_parse_offset_rejects_garbage(text):
     with pytest.raises(ParseError):
         parse_offset(text)

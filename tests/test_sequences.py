@@ -10,6 +10,8 @@ from nbhd import (
     DomainError,
     ParseError,
     SequenceId,
+    delannoy,
+    diamond_sharp_count,
     diff_against_reference,
     emit_bfile,
     generate,
@@ -163,3 +165,12 @@ def test_delannoy_antidiagonals_are_palindromes():
         diag = entries[at : at + s + 1]
         at += s + 1
         assert diag == diag[::-1]
+
+
+def test_antidiagonal_sequences_match_the_counting_formulas():
+    # 60 antidiagonals, 1830 terms each, well past the 64-term goldens
+    terms = 60 * 61 // 2
+    square = [e.value for e in generate(SequenceId.A008288, terms)]
+    assert square == [delannoy(i, s - i) for s in range(60) for i in range(s + 1)]
+    shells = [e.value for e in generate(SequenceId.A266213, terms)]
+    assert shells == [diamond_sharp_count(d, s - d) for s in range(2, 62) for d in range(1, s)]
