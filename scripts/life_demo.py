@@ -5,13 +5,13 @@ from __future__ import annotations
 from nbhd import (
     Boundary,
     enumerate_offsets,
+    live_cells,
     make_grid,
     moore,
     parse_rule,
     population,
     render_snapshot,
     run,
-    step,
 )
 
 GLIDER = [(1, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
@@ -24,16 +24,13 @@ def main() -> None:
 
     print(f"step 0 population {population(grid)}")
     print(render_snapshot(grid))
-    for i in range(1, 17):
-        grid = step(grid, rule, offsets)
-        if i % 4 == 0:
-            print(f"\nstep {i} population {population(grid)}")
-            print(render_snapshot(grid))
+    for i in range(4, 17, 4):
+        grid = run(grid, rule, offsets, 4)
+        print(f"\nstep {i} population {population(grid)}")
+        print(render_snapshot(grid))
 
     # four steps translate the glider one cell down-right; prove it
     again = run(make_grid((16, 16), Boundary.TOROIDAL, GLIDER), rule, offsets, 4)
-    from nbhd import live_cells
-
     moved = {(a + 1, b + 1) for a, b in GLIDER}
     assert set(live_cells(again)) == moved
     print("\nglider translated by (1,1) after 4 steps, as expected")

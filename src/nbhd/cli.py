@@ -134,13 +134,12 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     boundary = engine.Boundary.TOROIDAL if args.boundary == "torus" else engine.Boundary.FIXED_DEAD
     grid = engine.make_grid(dims, boundary, cells)
 
-    every = args.snapshot_every
-    for i in range(1, args.steps + 1):
-        grid = engine.step(grid, rule, offsets)
-        if every is not None and i % every == 0:
-            print(f"step {i} population {engine.population(grid)}")
-            print(engine.render_snapshot(grid))
-            print()
+    # run is called positionally: perfbench/tracing.py wraps it as (g, rule, offs, steps, *a)
+    every = args.snapshot_every or args.steps + 1
+    for i in range(every, args.steps + 1, every):
+        grid = engine.run(grid, rule, offsets, every)
+        print(f"step {i} population {engine.population(grid)}\n{engine.render_snapshot(grid)}\n")
+    grid = engine.run(grid, rule, offsets, args.steps % every)
     print(f"final population {engine.population(grid)}")
     return 0
 

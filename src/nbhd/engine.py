@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
 from .counting import count
-from .neighborhoods import _INTEGER, DEFAULT_CELL_CAP, Offset, _offset_lines, k_radius
+from .neighborhoods import _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _offset_lines, k_radius
 
 
 class Boundary(enum.Enum):
@@ -75,6 +75,9 @@ class Rule:
     survival: frozenset[int]
 
     def __post_init__(self) -> None:
+        for name in ("birth", "survival"):
+            counts = frozenset(_as_int(n, "rule count") for n in getattr(self, name))
+            object.__setattr__(self, name, counts)
         for n in self.birth | self.survival:
             if n < 0:
                 raise DomainError(f"rule counts must be nonnegative, got {n}")
@@ -91,7 +94,8 @@ def parse_rule(text: str) -> Rule:
 
     Without commas every character is a single-digit count; with commas the
     counts are read as comma-separated integers ('B3,12/S0,15'), which allows
-    counts above 9 for large neighborhoods.
+    counts above 9 for large neighborhoods.  Such a part may end in one comma,
+    so a lone count above 9 is written 'B12,/S'.
     """
     match = re.fullmatch(r"[Bb]([0-9,]*)/[Ss]([0-9,]*)", text.strip())
     if match is None:
@@ -102,7 +106,7 @@ def parse_rule(text: str) -> Rule:
             return frozenset()
         try:
             if "," in part:
-                return frozenset(int(f) for f in part.split(","))
+                return frozenset(int(f) for f in part.removesuffix(",").split(","))
             return frozenset(int(ch) for ch in part)
         except ValueError:
             raise ParseError(f"bad counts {part!r} in rule {text!r}") from None
@@ -115,7 +119,7 @@ def format_rule(rule: Rule) -> str:
         ordered = sorted(counts)
         if all(c <= 9 for c in ordered):
             return "".join(str(c) for c in ordered)
-        return ",".join(str(c) for c in ordered)
+        return ",".join(str(c) for c in ordered) + "," * (len(ordered) == 1)
 
     return f"B{part(rule.birth)}/S{part(rule.survival)}"
 
@@ -129,11 +133,12 @@ def make_grid(
 
     ``live_cells`` is an (n, d) integer array, as load_pattern returns, or
     any iterable of coordinate sequences; zero rows mean no live cells,
-    whatever their width.  A cell with other than ``len(dims)`` components
-    raises DimensionError; the first cell outside the grid (a coordinate
-    outside int64 included) raises BoundsError.
+    whatever their width and dtype.  A dim or coordinate that is not an
+    integer raises DomainError.  A cell with other than ``len(dims)``
+    components raises DimensionError; the first cell outside the grid (a
+    coordinate outside int64 included) raises BoundsError.
     """
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(_as_int(n, "grid dim") for n in dims)
     if not dims or any(n < 1 for n in dims):
         raise DomainError(f"grid dims must be positive, got {dims}")
     cells = math.prod(dims)
@@ -142,30 +147,38 @@ def make_grid(
     if not isinstance(live_cells, np.ndarray):
         live_cells = list(live_cells)
     try:
-        coords = np.asarray(live_cells, dtype=np.int64)
-    except (ValueError, OverflowError):
-        # ragged cells or a coordinate outside int64: name the first bad cell
-        for cell in live_cells:
-            _check_cell(tuple(int(c) for c in cell), dims)
-        raise
+        coords = np.asarray(live_cells)
+    except ValueError:  # ragged cells
+        coords = None
+    if coords is None or (coords.size and coords.dtype.kind not in "iu"):
+        # ragged cells, non-integers, or integers past int64 (which numpy may
+        # read as floats): check each cell as Python ints, naming the first bad one
+        coords = np.array([_check_cell(cell, dims) for cell in live_cells], dtype=np.int64)
+    coords = coords.astype(np.int64, copy=False)
     states = np.zeros(dims, dtype=np.uint8)
     if len(coords):
         if coords.ndim != 2:
             raise DimensionError(f"live cells must be coordinate sequences, got shape {coords.shape}")
         if coords.shape[1] != len(dims):
-            _check_cell(tuple(coords[0].tolist()), dims)
+            _check_cell(coords[0].tolist(), dims)
         outside = ((coords < 0) | (coords >= dims)).any(axis=1)
         if outside.any():
-            _check_cell(tuple(coords[outside.argmax()].tolist()), dims)
+            _check_cell(coords[outside.argmax()].tolist(), dims)
         states[tuple(coords.T)] = 1
     return Grid(dims, states, boundary)
 
 
-def _check_cell(cell: tuple[int, ...], dims: tuple[int, ...]) -> None:
+def _check_cell(cell: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:
+    """``cell`` as a tuple of ints inside the grid, or the error it is."""
+    try:
+        cell = tuple(_as_int(c, "cell coordinate") for c in cell)
+    except TypeError:  # a bare number
+        raise DimensionError(f"live cell {cell!r} is not a coordinate sequence") from None
     if len(cell) != len(dims):
         raise DimensionError(f"cell {cell} does not match grid dimension {len(dims)}")
     if any(not 0 <= c < n for c, n in zip(cell, dims)):
         raise BoundsError(f"cell {cell} outside grid of dims {dims}")
+    return cell
 
 
 def population(grid: Grid) -> int:

@@ -45,6 +45,15 @@ _BOX_CHUNK = 2**16  # box points decoded at once: a (points, d) int64 array
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # an integer field of offset, pattern and b-file text
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` through operator.index, so a numpy integer becomes a Python
+    int; DomainError for a float, a string or any other non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 class Family(enum.Enum):
     K_RADIUS = "k-radius"
     DIAMOND = "diamond"
@@ -67,6 +76,10 @@ class NeighborhoodSpec:
     sharp_r: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise DomainError(f"family must be a Family, got {self.family!r}")
+        for name in ("dimension", "r") if self.k is None else ("dimension", "k", "r"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.dimension < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dimension}")
         if self.r < 1:

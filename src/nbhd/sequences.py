@@ -15,7 +15,7 @@ import operator
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, DomainError, ParseError
-from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP
+from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int
 
 
 class SequenceId(enum.Enum):
@@ -91,6 +91,7 @@ def _lookup(seq_id: SequenceId) -> tuple[int, Callable[[], Iterator[int]]]:
 def generate(seq_id: SequenceId, terms: int) -> list[SequenceEntry]:
     """The first ``terms`` entries of the sequence, indices starting at the
     sequence's declared offset; at most DEFAULT_TERM_CAP (2**16) terms."""
+    terms = _as_int(terms, "terms")
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     if terms > DEFAULT_TERM_CAP:
@@ -118,12 +119,16 @@ def emit_bfile(seq_id: SequenceId, terms: int, sink: IO[bytes]) -> None:
 def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
     """Parse b-file lines into entries.
 
-    Blank lines and '#' comment lines are skipped; anything else that is not
-    two integer fields raises ParseError naming the line number.
+    Blank lines and '#' comment lines are skipped; a bytes line that is not
+    ASCII, or any other line that is not two integer fields, raises ParseError
+    naming the line number.
     """
     entries = []
     for lineno, raw in enumerate(source, start=1):
-        line = raw.decode("ascii") if isinstance(raw, bytes) else raw
+        try:
+            line = raw.decode("ascii") if isinstance(raw, bytes) else raw
+        except UnicodeDecodeError:
+            raise ParseError(f"line {lineno}: not ASCII text: {raw!r}") from None
         line = line.strip()
         if not line or line.startswith("#"):
             continue

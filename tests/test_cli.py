@@ -10,12 +10,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import nbhd
-from nbhd import cli, diamond, enumerate_offsets, format_offset, k_radius, load_pattern, moore
+from nbhd import cli, diamond, engine, enumerate_offsets, format_offset, k_radius, load_pattern, moore
 from nbhd.cli import main
 from nbhd.neighborhoods import DEFAULT_TERM_CAP, Family
 from nbhd.sequences import SequenceId, format_term
@@ -255,6 +256,45 @@ def test_simulate_glider(capsys, tmp_path):
     assert out.rstrip().endswith("final population 5")
     snapshot = out.split("step 4 population 5\n", 1)[1]
     assert ".OOO." in "".join(snapshot.splitlines()[3:5])
+
+
+# (dims, neighbourhood flags, rule, live cells): a glider that reaches the
+# walls of a fixed-dead 8x8 grid within 16 steps, and a seeded 3-D soup
+SIMULATIONS = {
+    "glider": ((8, 8), ["--k", "2"], "B3/S23", [(1, 2), (2, 3), (3, 1), (3, 2), (3, 3)]),
+    "soup-3d": (
+        (6, 5, 4), ["--k", "3"], "B5,6,7/S5,6,7,8",
+        np.argwhere(np.random.default_rng(11).random((6, 5, 4)) < 0.3).tolist(),
+    ),
+}
+
+
+@pytest.mark.parametrize("every", [None, 1, 3, 4, 7, 40])
+@pytest.mark.parametrize("steps", [0, 5, 16])
+@pytest.mark.parametrize("boundary", ["torus", "dead"])
+@pytest.mark.parametrize("name", list(SIMULATIONS))
+def test_simulate_prints_what_a_step_loop_prints(capsys, tmp_path, name, boundary, steps, every):
+    dims, flags, rule_text, cells = SIMULATIONS[name]
+    pattern = tmp_path / "p.txt"
+    pattern.write_text("".join(format_offset(cell) + "\n" for cell in cells))
+    argv = ["simulate", "--dims", ",".join(map(str, dims)), *flags, "--rule", rule_text,
+            "--steps", str(steps), "--pattern", str(pattern), "--boundary", boundary]
+    code, out, err = run_cli(capsys, *argv, *(["--snapshot-every", str(every)] if every else []))
+
+    # one engine.step per step, each snapshot block after its step
+    grid = engine.make_grid(
+        dims, engine.Boundary.TOROIDAL if boundary == "torus" else engine.Boundary.FIXED_DEAD, cells
+    )
+    rule = engine.parse_rule(rule_text)
+    offsets = enumerate_offsets(k_radius(len(dims), int(flags[1])))
+    want = []
+    for i in range(1, steps + 1):
+        grid = engine.step(grid, rule, offsets)
+        if every is not None and i % every == 0:
+            want += [f"step {i} population {engine.population(grid)}", engine.render_snapshot(grid), ""]
+    want.append(f"final population {engine.population(grid)}")
+    assert (code, out, err) == (0, "\n".join(want) + "\n", "")
+    assert engine.population(grid) > 0
 
 
 def test_simulate_missing_pattern_file(capsys, tmp_path):

@@ -53,6 +53,11 @@ def test_make_grid_examples():
         (0, 0), (1, 1), (2, 2)
     ]
     assert population(make_grid((3, 3), live_cells=np.zeros((0, 1), dtype=np.int64))) == 0
+    for empty in (np.zeros((0, 2)), np.zeros((0,), dtype="U1"), np.zeros((0, 2), dtype=bool)):
+        assert population(make_grid((3, 3), live_cells=empty)) == 0
+    grid = make_grid((np.int64(4), np.uint8(4)), live_cells=np.array([[1, 2]], dtype=np.uint8))
+    assert grid.dims == (4, 4) and all(type(n) is int for n in grid.dims)
+    assert live_cells(grid) == [(1, 2)]
 
 
 def test_make_grid_validates():
@@ -68,8 +73,30 @@ def test_make_grid_validates():
         assert str(exc.value) == "cell (1, 1, 1) does not match grid dimension 2"
     with pytest.raises(BoundsError, match=r"cell \(0, 1000000000000000000000000000000\)"):
         make_grid((3, 3), live_cells=[(0, 0), (0, 10**30)])
+    # numpy reads this list as floats; the cell is still named as given
+    with pytest.raises(BoundsError, match=r"cell \(9223372036854775808, 0\)"):
+        make_grid((3, 3), live_cells=[(0, 0), (2**63, 0)])
+    with pytest.raises(DimensionError, match="not a coordinate sequence"):
+        make_grid((3, 3), live_cells=[1.5, 2])
     with pytest.raises(CapacityError):
         make_grid((2**40, 2**40))
+
+
+@pytest.mark.parametrize(
+    "dims, cells",
+    [
+        ((4.5, 4), []),
+        (("4", "4"), []),
+        ((4, 4), [(1.5, 2)]),
+        ((4, 4), np.array([[1.0, 2.0]])),
+        ((4, 4), [("1", "2")]),
+        ((4, 4), np.array([[True, False]])),
+        ((4, 4), [(0, 0), (1.5, 2, 3)]),
+    ],
+)
+def test_make_grid_refuses_non_integers(dims, cells):
+    with pytest.raises(DomainError, match="must be an integer"):
+        make_grid(dims, live_cells=cells)
 
 
 def test_live_cells_and_snapshots_match_per_cell_expressions():
@@ -108,14 +135,28 @@ def test_parse_rule_forms():
     assert parse_rule("b36/s23") == Rule(frozenset({3, 6}), frozenset({2, 3}))
     assert parse_rule("B1/S") == Rule(frozenset({1}), frozenset())
     assert parse_rule("B2,11/S0,1") == Rule(frozenset({2, 11}), frozenset({0, 1}))
+    # a part with a comma may end in one, so a lone count above 9 has a spelling
+    assert parse_rule("B12,/S3") == Rule(frozenset({12}), frozenset({3}))
+    assert parse_rule("B3,12,/S0,") == Rule(frozenset({3, 12}), frozenset({0}))
+    assert parse_rule("B12/S3") == Rule(frozenset({1, 2}), frozenset({3}))
 
 
 def test_format_rule_round_trips():
     for text in ["B3/S23", "B1/S", "B2,11/S0,1"]:
         assert parse_rule(format_rule(parse_rule(text))) == parse_rule(text)
+    assert format_rule(Rule(frozenset({12}), frozenset({3}))) == "B12,/S3"
 
 
-@pytest.mark.parametrize("text", ["", "B3", "3/23", "B3-S23", "Bx/Sy"])
+@given(st.frozensets(st.integers(0, 300)), st.frozensets(st.integers(0, 300)))
+@settings(max_examples=300, deadline=None)
+def test_format_rule_round_trips_any_counts(birth, survival):
+    rule = Rule(birth, survival)
+    assert parse_rule(format_rule(rule)) == rule
+
+
+@pytest.mark.parametrize(
+    "text", ["", "B3", "3/23", "B3-S23", "Bx/Sy", "B,/S", "B,12/S", "B12,,/S", "B3/S,", "B1,,2/S"]
+)
 def test_parse_rule_rejects_garbage(text):
     with pytest.raises(ParseError):
         parse_rule(text)
@@ -124,6 +165,16 @@ def test_parse_rule_rejects_garbage(text):
 def test_rule_rejects_negative_counts():
     with pytest.raises(DomainError):
         Rule(frozenset({-1}), frozenset())
+
+
+def test_rule_counts_are_integers():
+    with pytest.raises(DomainError, match="rule count must be an integer"):
+        Rule(frozenset({1.5}), frozenset())
+    with pytest.raises(DomainError):
+        Rule(frozenset(), frozenset({"3"}))
+    rule = Rule(frozenset({np.int64(3)}), frozenset({np.uint8(2), 3}))
+    assert rule == LIFE
+    assert all(type(n) is int for n in rule.birth | rule.survival)
 
 
 # ---------------------------------------------------------------- stepping

@@ -60,6 +60,36 @@ def test_diamond_rejects_k_and_sharp_k():
         NeighborhoodSpec(2, family=Family.DIAMOND, r=1, sharp_k=True)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: count(k_radius(2, 1, 1.5)),
+        lambda: count(diamond(2, 2.0)),
+        lambda: k_radius(2.0, 1),
+        lambda: k_radius(2, "1"),
+        lambda: NeighborhoodSpec(2, family=Family.DIAMOND, r=np.float64(1)),
+    ],
+)
+def test_spec_parameters_must_be_integers(make):
+    with pytest.raises(DomainError, match="must be an integer"):
+        make()
+
+
+def test_spec_family_must_be_a_family():
+    with pytest.raises(DomainError, match="family must be a Family"):
+        NeighborhoodSpec(2, "k-radius", 1)
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    spec = k_radius(np.int64(3), np.int64(2), np.int16(100))
+    assert spec == k_radius(3, 2, 100)
+    assert all(type(v) is int for v in (spec.dimension, spec.k, spec.r))
+    # an int8 radius would overflow in 2 * r; as a Python int it is exact, with no warning
+    assert count(k_radius(2, 2, np.int8(100))) == count(k_radius(2, 2, 100)) == 40400
+    assert count(spec) == count(k_radius(3, 2, 100))
+    assert count(diamond(np.uint8(2), np.int32(3))) == count(diamond(2, 3))
+
+
 def test_k_radius_requires_k():
     with pytest.raises(DomainError):
         NeighborhoodSpec(2, family=Family.K_RADIUS, k=None, r=1)

@@ -2,6 +2,7 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,6 +57,9 @@ def test_indices_are_consecutive_from_offset(seq_id):
 def test_generate_validates_terms():
     with pytest.raises(DomainError):
         generate(SequenceId.A005843, 0)
+    with pytest.raises(DomainError, match="terms must be an integer"):
+        generate(SequenceId.A005843, 2.0)
+    assert generate(SequenceId.A005843, np.int8(3)) == generate(SequenceId.A005843, 3)
 
 
 # ---------------------------------------------------------------- b-file i/o
@@ -107,6 +111,14 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_reports_line_numbers(line):
     with pytest.raises(ParseError, match="line 2"):
         parse_bfile(io.BytesIO(b"0 1\n" + line + b"\n"))
+
+
+@pytest.mark.parametrize("line", [b"1 \xff2", b"# caf\xc3\xa9"], ids=["field", "comment"])
+def test_non_ascii_lines_are_parse_errors(line):
+    with pytest.raises(ParseError, match="line 2: not ASCII"):
+        parse_bfile([b"0 0", line])
+    with pytest.raises(ParseError, match="line 2: not ASCII"):
+        diff_against_reference(SequenceId.A005843, io.BytesIO(b"0 0\n" + line + b"\n"))
 
 
 def test_self_diff_is_empty():
