@@ -20,10 +20,21 @@ from .errors import (
     DomainError,
     ParseError,
 )
-from .neighborhoods import Family, NeighborhoodSpec, _offset_lines, enumerate_offsets, offset_array
+from .neighborhoods import _INTEGER, Family, NeighborhoodSpec, _offset_lines, enumerate_offsets, offset_array
 from .verification import run_verification
 
 _ROWS_PER_WRITE = 16384  # enumerate's offsets formatted and written at once
+
+
+def _integer(text: str) -> int:
+    """``[+-]?[0-9]+`` after stripping whitespace, as offsets, patterns and
+    b-files read integers; past int()'s 4300 digits, a usage error too."""
+    try:
+        if _INTEGER.fullmatch(text.strip()):
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
 
 
 @functools.cache  # parse_args keeps no state in the parser, so one serves every call
@@ -36,9 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--d", type=int, required=True, help="lattice dimension")
-        p.add_argument("--k", type=int, help="max nonzero coordinates (k-radius family)")
-        p.add_argument("--r", type=int, default=1, help="radius (default 1)")
+        p.add_argument("--d", type=_integer, required=True, help="lattice dimension")
+        p.add_argument("--k", type=_integer, help="max nonzero coordinates (k-radius family)")
+        p.add_argument("--r", type=_integer, default=1, help="radius (default 1)")
         p.add_argument("--diamond", action="store_true", help="diamond family instead of k-radius")
         p.add_argument("--sharp-k", action="store_true", help="exactly k nonzero coordinates")
         p.add_argument("--sharp-r", action="store_true", help="shell at distance exactly r")
@@ -53,24 +64,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument(
         "--id", required=True, choices=[s.value for s in sequences.SequenceId]
     )
-    p_seq.add_argument("--terms", type=int, required=True)
+    p_seq.add_argument("--terms", type=_integer, required=True)
     p_seq.add_argument("--bfile", action="store_true", help="b-file format ('n a(n)' lines)")
 
     p_verify = sub.add_parser("verify", help="run formula/recurrence/oracle cross-checks")
-    p_verify.add_argument("--max-d", type=int, default=4)
-    p_verify.add_argument("--max-k", type=int, default=None)
-    p_verify.add_argument("--max-r", type=int, default=3)
+    p_verify.add_argument("--max-d", type=_integer, default=4)
+    p_verify.add_argument("--max-k", type=_integer, default=None)
+    p_verify.add_argument("--max-r", type=_integer, default=3)
 
     p_sim = sub.add_parser("simulate", help="run a totalistic automaton")
-    p_sim.add_argument("--dims", required=True, help="grid size per axis, e.g. 16,16")
-    p_sim.add_argument("--k", type=int)
-    p_sim.add_argument("--r", type=int, default=1)
+    p_sim.add_argument("--dims", type=lambda text: tuple(map(_integer, text.split(","))),
+                       required=True, help="grid size per axis, e.g. 16,16")
+    p_sim.add_argument("--k", type=_integer)
+    p_sim.add_argument("--r", type=_integer, default=1)
     p_sim.add_argument("--diamond", action="store_true")
     p_sim.add_argument("--rule", required=True, help="birth/survival rule, e.g. B3/S23")
-    p_sim.add_argument("--steps", type=int, required=True)
+    p_sim.add_argument("--steps", type=_integer, required=True)
     p_sim.add_argument("--pattern", required=True, help="live-cell coordinate file")
     p_sim.add_argument("--boundary", choices=["torus", "dead"], default="torus")
-    p_sim.add_argument("--snapshot-every", type=int, default=None)
+    p_sim.add_argument("--snapshot-every", type=_integer, default=None)
     p_sim.set_defaults(sharp_k=False, sharp_r=False)
     return parser
 
@@ -97,7 +109,11 @@ def _cmd_sequence(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    # a range below 1 checks nothing, and nothing checked is no pass
+    for flag, value in ("--max-d", args.max_d), ("--max-k", args.max_k), ("--max-r", args.max_r):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be >= 1")
     results = run_verification(args.max_d, args.max_k, args.max_r)
     width = max(len(r.name) for r in results)
     failed = False
@@ -113,15 +129,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        dims = tuple(int(f) for f in args.dims.split(","))
-    except ValueError:
-        parser.error(f"--dims must be comma-separated integers, got {args.dims!r}")
     if args.steps < 0:
         parser.error("--steps must be >= 0")
     if args.snapshot_every is not None and args.snapshot_every < 1:
         parser.error("--snapshot-every must be >= 1")
-    args.d = len(dims)
+    args.d = len(args.dims)
     spec = _spec_from_args(parser, args)
     try:
         rule = engine.parse_rule(args.rule)
@@ -132,7 +144,7 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
     cells = engine.load_pattern(args.pattern)
     boundary = engine.Boundary.TOROIDAL if args.boundary == "torus" else engine.Boundary.FIXED_DEAD
-    grid = engine.make_grid(dims, boundary, cells)
+    grid = engine.make_grid(args.dims, boundary, cells)
 
     # run is called positionally: perfbench/tracing.py wraps it as (g, rule, offs, steps, *a)
     every = args.snapshot_every or args.steps + 1
@@ -161,7 +173,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "sequence":
         return _cmd_sequence(parser, args)
     if args.command == "verify":
-        return _cmd_verify(args)
+        return _cmd_verify(parser, args)
     return _cmd_simulate(parser, args)
 
 

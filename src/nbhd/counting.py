@@ -1,7 +1,12 @@
 """Closed forms and recurrences for neighborhood sizes.
 
 Every function returns a plain Python int, so results are exact at any
-size.  Formula/recurrence pairs are intentionally redundant: each pair is
+size, or raises DomainError.  Parameters are read as NeighborhoodSpec reads
+them: a numpy integer is the Python int it holds, and a float, a string or
+None is refused.  The named formulas take d, k and r from the spec that
+k_radius, moore or diamond builds, so their ranges are the spec's (d >= 1,
+1 <= k <= d, r >= 1); binomial, delannoy and diamond_sharp_count_rec also
+take 0.  Formula/recurrence pairs are intentionally redundant: each pair is
 cross-checked in the test suite, and everything is checked against the
 brute-force box scan in the neighborhoods module.  Recurrences fill dense
 per-call tables iteratively; there is no shared mutable state.
@@ -12,37 +17,28 @@ from __future__ import annotations
 import math
 
 from .errors import CapacityError, DomainError
-from .neighborhoods import DEFAULT_COUNT_BITS, Family, NeighborhoodSpec
+from .neighborhoods import DEFAULT_COUNT_BITS, Family, NeighborhoodSpec, _as_int, diamond, k_radius, moore
 from .neighborhoods import brute_force_count  # read only by perfbench/tracing.py, which wraps it
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), exact; 0 when k > n."""
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if n < 0 or k < 0:
         raise DomainError(f"binomial needs nonnegative arguments, got ({n}, {k})")
     return math.comb(n, k)
 
 
-def _require_dk(d: int, k: int) -> None:
-    if not 1 <= k <= d:
-        raise DomainError(f"need 1 <= k <= d, got k={k}, d={d}")
-
-
-def _require_dr(d: int, r: int) -> None:
-    if d < 1 or r < 1:
-        raise DomainError(f"need d >= 1 and r >= 1, got d={d}, r={r}")
-
-
 def sharp_k_count(d: int, k: int) -> int:
     """Offsets with exactly k nonzero components, each -1 or 1: 2^k * C(d, k)."""
-    _require_dk(d, k)
+    d, k = (spec := k_radius(d, k)).dimension, spec.k
     return (1 << k) * binomial(d, k)
 
 
 def sharp_k_count_rec(d: int, k: int) -> int:
     """Same value as sharp_k_count via the row recurrence
     T(d, k) = 2*T(d-1, k-1) + T(d-1, k) with T(d, 0) = 1."""
-    _require_dk(d, k)
+    d, k = (spec := k_radius(d, k)).dimension, spec.k
     row = [1]
     for i in range(1, d + 1):
         row = [1] + [
@@ -53,7 +49,7 @@ def sharp_k_count_rec(d: int, k: int) -> int:
 
 def k_count(d: int, k: int) -> int:
     """Offsets with 1..k nonzero components, each -1 or 1: sum of 2^j * C(d, j)."""
-    _require_dk(d, k)
+    d, k = (spec := k_radius(d, k)).dimension, spec.k
     # 2^j * C(d, j), stepped from j - 1 to j
     total, term = 0, 1
     for j in range(1, k + 1):
@@ -66,7 +62,7 @@ def k_count_rec(d: int, k: int) -> int:
     """Same value as k_count via the separated recurrence
     T(d, k) = T(d, k-1) + T(d-1, k) + T(d-1, k-1) - 2*T(d-1, k-2),
     closed by T(d, 1) = 2d, T(j, j) = 3^j - 1, and T(., j) = 0 for j < 1."""
-    _require_dk(d, k)
+    d, k = (spec := k_radius(d, k)).dimension, spec.k
     table: list[list[int]] = [[0]]  # table[i][j] for 0 <= j <= i; j=0 column is 0
     for i in range(1, d + 1):
         row = [0, 2 * i]
@@ -83,14 +79,14 @@ def k_count_rec(d: int, k: int) -> int:
 
 def moore_radius_count(d: int, r: int) -> int:
     """Filled Chebyshev ball of radius r minus the center: (2r+1)^d - 1."""
-    _require_dr(d, r)
+    d, r = (spec := moore(d, r)).dimension, spec.r
     return (2 * r + 1) ** d - 1
 
 
 def moore_radius_sharp_count(d: int, r: int) -> int:
     """Shell at Chebyshev distance exactly r:
     sum over m of C(d, m) * 2^m * (2r-1)^(d-m)."""
-    _require_dr(d, r)
+    d, r = (spec := moore(d, r)).dimension, spec.r
     # C(d, m) * 2^m * (2r-1)^(d-m), stepped down from m = d, where it is 2^d
     total, term = 0, 1 << d
     for m in range(d, 0, -1):
@@ -102,7 +98,7 @@ def moore_radius_sharp_count(d: int, r: int) -> int:
 def diamond_sharp_count(d: int, r: int) -> int:
     """Lattice points at Manhattan distance exactly r:
     sum over k of C(r-1, k-1) * C(d, k) * 2^k."""
-    _require_dr(d, r)
+    d, r = (spec := diamond(d, r)).dimension, spec.r
     # C(r-1, k-1) * C(d, k) * 2^k, stepped from k - 1 to k; 2d at k = 1
     total, term = 0, 2 * d
     for k in range(1, min(d, r) + 1):
@@ -117,13 +113,13 @@ def diamond_sharp_count_rec(d: int, r: int) -> int:
     T(d, r) = D(d, r) - D(d, r-1): the filled ball of radius r minus the one
     of radius r-1.  T(d, 0) = 1 for d >= 0 (the center alone)."""
     row = _delannoy_row(d, r)
-    return row[r] - row[r - 1] if r else 1
+    return row[-1] - row[-2] if len(row) > 1 else 1
 
 
 def diamond_count(d: int, r: int) -> int:
     """Lattice points at Manhattan distance 1..r:
     sum over k of C(r, k) * C(d, k) * 2^k."""
-    _require_dr(d, r)
+    d, r = (spec := diamond(d, r)).dimension, spec.r
     # C(r, k) * C(d, k) * 2^k, stepped from k - 1 to k
     total, term = 0, 1
     for k in range(1, min(d, r) + 1):
@@ -134,6 +130,7 @@ def diamond_count(d: int, r: int) -> int:
 
 def _delannoy_row(d: int, r: int) -> list[int]:
     # [D(d, 0), ..., D(d, r)], by the recurrence in delannoy's docstring
+    d, r = _as_int(d, "d"), _as_int(r, "r")
     if d < 0 or r < 0:
         raise DomainError(f"need d >= 0 and r >= 0, got d={d}, r={r}")
     row = [1] * (r + 1)
@@ -152,7 +149,7 @@ def delannoy(d: int, r: int) -> int:
     Base cases are D(d, 0) = D(0, r) = 1; the recurrence is
     D(d, r) = D(d-1, r) + D(d-1, r-1) + D(d, r-1).
     """
-    return _delannoy_row(d, r)[r]
+    return _delannoy_row(d, r)[-1]
 
 
 def k_radius_count(d: int, k: int, r: int) -> int:
@@ -162,9 +159,7 @@ def k_radius_count(d: int, k: int, r: int) -> int:
     The sum starts at j = 1, which excludes the center cell; including j = 0
     would count it and give a value exactly one larger.
     """
-    _require_dk(d, k)
-    if r < 1:
-        raise DomainError(f"need r >= 1, got r={r}")
+    d, k, r = (spec := k_radius(d, k, r)).dimension, spec.k, spec.r
     # C(d, j) * (2r)^j, stepped from j - 1 to j
     total, term = 0, 1
     for j in range(1, k + 1):

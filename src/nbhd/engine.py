@@ -150,9 +150,10 @@ def make_grid(
         coords = np.asarray(live_cells)
     except ValueError:  # ragged cells
         coords = None
-    if coords is None or (coords.size and coords.dtype.kind not in "iu"):
+    if coords is None or (coords.size and (coords.dtype.kind not in "iu" or coords.max() > _INT64.max)):
         # ragged cells, non-integers, or integers past int64 (which numpy may
-        # read as floats): check each cell as Python ints, naming the first bad one
+        # read as floats, or hold as uint64): check each cell as Python ints,
+        # naming the first bad one
         coords = np.array([_check_cell(cell, dims) for cell in live_cells], dtype=np.int64)
     coords = coords.astype(np.int64, copy=False)
     states = np.zeros(dims, dtype=np.uint8)
@@ -357,7 +358,7 @@ def run(
     After each step the observer (if any) receives the 1-based step index and
     the population.  steps=0 returns the input grid unchanged.
     """
-    if steps < 0:
+    if (steps := _as_int(steps, "steps")) < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
     current = grid
     for i in range(1, steps + 1):

@@ -506,12 +506,28 @@ def test_reused_parser_behaves_like_a_fresh_process(capsys, tmp_path):
          "--steps", "1", "--pattern", "p"],
         ["sequence", "--id", "A005843", "--terms", "0"],
         ["sequence", "--id", "A005843", "--terms", "-3"],
+        # integers follow the offset grammar: no non-ASCII digits, no underscores,
+        # and int()'s 4300-digit limit is a usage error too
+        ["count", "--d", "\u0663", "--k", "1"],  # ARABIC-INDIC DIGIT THREE
+        ["count", "--d", "1_0", "--k", "1"],
+        ["count", "--d", "3", "--k", "1", "--r", "-" + "9" * 5000],
+        ["sequence", "--id", "A005843", "--terms", "\u0663"],
+        ["simulate", "--dims", "1_0,4", "--k", "1", "--rule", "B3/S23",
+         "--steps", "1", "--pattern", "p"],
+        # a verify range below 1 checks nothing
+        *(["verify", flag, value] for flag in ("--max-d", "--max-k", "--max-r") for value in ("0", "-3")),
     ],
 )
-def test_usage_errors_exit_two(argv):
+def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "Traceback" not in err and err.count("error:") == 1
+
+
+def test_integers_may_carry_a_sign_and_whitespace(capsys):
+    assert run_cli(capsys, "count", "--d", " +3", "--k", "1") == (0, "6\n", "")
 
 
 # ---------------------------------------------------------------- argv fuzz
@@ -523,9 +539,9 @@ def _mostly(usual, rare):
     return st.sampled_from([usual, usual, usual, rare]).flatmap(lambda s: s)
 
 
-_JUNK = ["", "x", "1.5", "99999999999999999999"]
+_JUNK = ["", "x", "1.5", "\u0663", "1_0", "99999999999999999999"]
 _junk = st.sampled_from(_JUNK)
-_non_numbers = st.sampled_from(_JUNK[:3])
+_non_numbers = st.sampled_from(_JUNK[:-1])
 _numbers = st.one_of(st.integers(1, 8), st.integers(-3, 40)).map(str)
 _values = _mostly(_numbers, _junk)
 # Two options take no huge number: verify's box scans grow as

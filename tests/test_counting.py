@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from conftest import count_lattice_paths
 from hypothesis import given, settings
@@ -134,6 +135,41 @@ def test_domain_errors():
         delannoy(-1, 2)
     with pytest.raises(DomainError):
         k_radius_count(2, 3, 1)
+
+
+# Each public formula, its recurrence form, delannoy and binomial, with
+# arguments that overflow any numpy integer type the formula would keep.
+FORMULAS = [
+    (binomial, (100, 3)),
+    (sharp_k_count, (100, 3)),
+    (sharp_k_count_rec, (100, 3)),
+    (k_count, (100, 3)),
+    (k_count_rec, (100, 3)),
+    (moore_radius_count, (100, 3)),
+    (moore_radius_sharp_count, (100, 3)),
+    (diamond_sharp_count, (100, 100)),
+    (diamond_sharp_count_rec, (100, 100)),
+    (diamond_count, (100, 100)),
+    (delannoy, (100, 100)),
+    (k_radius_count, (3, 2, 100)),
+]
+NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("formula, args", FORMULAS, ids=[f.__name__ for f, _ in FORMULAS])
+@pytest.mark.parametrize("dtype", NUMPY_INTEGERS, ids=lambda t: t.__name__)
+def test_formulas_read_numpy_integers_as_ints(formula, args, dtype):
+    # an overflowing numpy sum would warn, and pyproject turns warnings into errors
+    value = formula(*map(dtype, args))
+    assert type(value) is int and value == formula(*args)
+
+
+@pytest.mark.parametrize("formula, args", FORMULAS, ids=[f.__name__ for f, _ in FORMULAS])
+@pytest.mark.parametrize("bad", [2.5, "3", None])
+def test_formulas_refuse_non_integers(formula, args, bad):
+    for position in range(len(args)):
+        with pytest.raises(DomainError):
+            formula(*args[:position], bad, *args[position + 1 :])
 
 
 # ---------------------------------------------------------------- identities

@@ -58,6 +58,8 @@ def test_make_grid_examples():
     grid = make_grid((np.int64(4), np.uint8(4)), live_cells=np.array([[1, 2]], dtype=np.uint8))
     assert grid.dims == (4, 4) and all(type(n) is int for n in grid.dims)
     assert live_cells(grid) == [(1, 2)]
+    cells = np.array([[0, 1], [2, 2]], dtype=np.uint64)
+    assert live_cells(make_grid((3, 3), live_cells=cells)) == [(0, 1), (2, 2)]
 
 
 def test_make_grid_validates():
@@ -78,6 +80,9 @@ def test_make_grid_validates():
         make_grid((3, 3), live_cells=[(0, 0), (2**63, 0)])
     with pytest.raises(DimensionError, match="not a coordinate sequence"):
         make_grid((3, 3), live_cells=[1.5, 2])
+    # a uint64 array past int64 is not cast to a wrapped int64 cell
+    with pytest.raises(BoundsError, match=r"cell \(9223372036854775808, 0\)"):
+        make_grid((3, 3), live_cells=np.array([[0, 0], [2**63, 0]], dtype=np.uint64))
     with pytest.raises(CapacityError):
         make_grid((2**40, 2**40))
 
@@ -217,6 +222,14 @@ def test_run_zero_steps_is_identity():
 def test_run_rejects_negative_steps():
     with pytest.raises(DomainError):
         run(make_grid((3, 3)), LIFE, MOORE2, -1)
+
+
+def test_run_reads_steps_as_specs_read_integers():
+    grid = make_grid((8, 8), Boundary.TOROIDAL, GLIDER)
+    for steps in (2.0, "2", None):
+        with pytest.raises(DomainError, match="steps must be an integer"):
+            run(grid, LIFE, MOORE2, steps)
+    assert run(grid, LIFE, MOORE2, np.int8(2)) == run(grid, LIFE, MOORE2, 2)
 
 
 def test_empty_rule_kills_everything():
