@@ -297,6 +297,67 @@ def test_simulate_prints_what_a_step_loop_prints(capsys, tmp_path, name, boundar
     assert engine.population(grid) > 0
 
 
+# Seeded soups stepped through simulate and hashed: (dims, neighbourhood,
+# rule, boundary, live density, steps, --snapshot-every).  The neighbourhood is
+# simulate's flags, or a spec for the shapes simulate has no flags for (sharp
+# on r or on k), which are stepped with engine.run and printed the same way.
+PINNED_SIMULATIONS = {
+    "life-torus": ((48, 48), ["--k", "2"], "B3/S23", "torus", 0.3, 8, 3),
+    "life-dead": ((48, 48), ["--k", "2"], "B3/S23", "dead", 0.3, 8, 3),
+    "moore-r5-dead": ((40, 40), ["--k", "2", "--r", "5"], "B34,35,36,37,38,39,40,41,42,43,44,45/"
+                      "S33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,50,51,52,53,54,55,56,57",
+                      "dead", 0.4, 6, 3),
+    "k3-torus-6^5": ((6,) * 5, ["--k", "3"], "B33,34,35,36,37,38,39,40,41,42,43,44,45/"
+                     "S30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,50,51,52,53,54,55,56,57,58,59,60",
+                     "torus", 0.2, 3, 1),
+    "diamond-r5-torus": ((40, 40), ["--diamond", "--r", "5"], "B17,18,19,20,21,22/"
+                         "S16,17,18,19,20,21,22,23,24,25,26,27,28", "torus", 0.3, 6, 2),
+    "shell-r2-k2-3d": ((7, 6, 5), k_radius(3, 2, 2, sharp_r=True), "B5,6,7,8,9/S4,5,6,7,8,9,10",
+                       "dead", 0.3, 4, 2),
+    "sharp-k2-4d": ((5, 4, 4, 3), k_radius(4, 2, 1, sharp_k=True), "B4,5,6/S3,4,5,6,7",
+                    "torus", 0.3, 4, 2),
+    "narrow-vn-r3": ((24, 20), ["--k", "1", "--r", "3"], "B3,4/S2,3,4,5", "dead", 0.3, 6, 3),
+    "diamond-r3-3x5": ((3, 5), ["--diamond", "--r", "3"], "B8,9,10,11/S12,13,14,15,16,17,18", "torus", 0.4, 5, 1),
+    "moore-3d": ((8, 7, 6), ["--k", "3"], "B5,6,7/S5,6,7,8", "torus", 0.3, 4, 2),
+}
+
+
+def _pinned_simulate_stdout(name: str, tmp_path: Path) -> bytes:
+    dims, shape, rule_text, boundary, density, steps, every = PINNED_SIMULATIONS[name]
+    rng = np.random.default_rng(sorted(PINNED_SIMULATIONS).index(name))
+    cells = np.argwhere(rng.random(dims) < density)
+    pattern = tmp_path / f"{name}.txt"
+    pattern.write_text("".join(format_offset(cell) + "\n" for cell in cells.tolist()))
+    if isinstance(shape, list):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["simulate", "--dims", ",".join(map(str, dims)), *shape, "--rule", rule_text,
+                         "--steps", str(steps), "--pattern", str(pattern), "--boundary", boundary,
+                         "--snapshot-every", str(every)])
+        assert code == 0
+        return out.getvalue().encode()
+    kind = engine.Boundary.TOROIDAL if boundary == "torus" else engine.Boundary.FIXED_DEAD
+    grid = engine.make_grid(dims, kind, engine.load_pattern(pattern))
+    rule, offsets = engine.parse_rule(rule_text), enumerate_offsets(shape)
+    lines = []
+    for i in range(every, steps + 1, every):
+        grid = engine.run(grid, rule, offsets, every)
+        lines += [f"step {i} population {engine.population(grid)}", engine.render_snapshot(grid), ""]
+    grid = engine.run(grid, rule, offsets, steps % every)
+    lines.append(f"final population {engine.population(grid)}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_simulate_output_matches_golden_hashes(tmp_path):
+    # sha256 of simulate's stdout for each pinned world, recorded before the
+    # neighbour counts were summed over the offsets' shared prefix tree
+    path = Path(__file__).parent / "fixtures" / "simulate_sha256.json"
+    golden = json.loads(path.read_text())
+    assert list(golden) == list(PINNED_SIMULATIONS)
+    got = {name: hashlib.sha256(_pinned_simulate_stdout(name, tmp_path)).hexdigest() for name in golden}
+    assert got == golden
+
+
 def test_simulate_missing_pattern_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
