@@ -8,19 +8,17 @@ several offsets and is counted once per offset.  Boundaries are handled by one
 padded copy of the grid per step (wrapped on a torus, dead cells outside a
 fixed-dead grid), and every count is a sum of views of that copy.
 
-How the views are summed depends on the offset list alone.  A list that is
-exactly a k-radius neighborhood with k >= 2 (Moore's among them), in any
-order, is counted axis by axis: the paper's row recurrence
-T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) says such a count is e_1 + ... + e_k,
-where e_j is the j-th elementary symmetric sum of the per-axis ring filters
-(the line sum over -r..r without 0), and a DP over the axes gives it in
-O(d*k) ring passes of 2r adds each, not one add per offset (130 for
-k_radius(5, 3, 1)).  Every other list, diamonds, shells, sharp-k sets and
-k = 1 sets included, adds one view per offset; for k = 1 the ring sums cost
-the same one add per offset and measured no faster.  Both ways give the
-same counts.  Counts accumulate in the narrowest unsigned type that holds the
-rule-table index 2*|N| + 1 (uint8 up to |N| = 127, uint16 up to 32767,
-uint32 above), and the next state is gathered from the table with np.take.
+Every offset list is summed one way.  Read axis by axis, the offsets form a
+tree whose nodes are sub-neighbourhoods that many offsets share, and
+_count_plan adds each shared sub-sum once.  For a k-radius list that is the
+paper's row recurrence T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) as ring sums
+(25 views in 7 sums for k_radius(5, 3, 1), against 130 offsets), for a
+diamond the Delannoy recurrence D(d, r) = D(d-1, r) + D(d-1, r-1) + D(d, r-1)
+(45 views for diamond(2, 5), against 60), and for a list with no shared
+parts one view per offset.  Counts accumulate in the narrowest unsigned type
+that holds the rule-table index 2*|N| + 1 (uint8 up to |N| = 127, uint16 up
+to 32767, uint32 above), and the next state is gathered from the table with
+np.take, a block of cells at a time.
 
 Grids are immutable values from the caller's perspective: step always
 returns a fresh grid and never writes to an existing one.
@@ -29,12 +27,12 @@ returns a fresh grid and never writes to an existing one.
 from __future__ import annotations
 
 import enum
+import functools
 import io
-import itertools
 import math
 import re
 import warnings
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
@@ -42,8 +40,7 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
-from .counting import count
-from .neighborhoods import _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _offset_lines, k_radius
+from .neighborhoods import _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _offset_lines
 
 
 class Boundary(enum.Enum):
@@ -196,64 +193,61 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
 
     A cell's next state is 1 iff it is dead with a live-neighbor count in
     rule.birth, or live with a count in rule.survival.  Neighbor lookups wrap
-    on a toroidal grid and read 0 outside a fixed-dead one.  A padded copy of
-    more than DEFAULT_CELL_CAP cells raises CapacityError before it is made.
-
-    When ``offsets`` are exactly the members of a k-radius neighborhood with
-    k >= 2, in any order, the counts come from per-axis ring sums
-    (_ring_index); any other list, k = 1 sets included, is added one offset
-    at a time (_offset_index), since a k = 1 ring sum is one add per offset
-    too.  Both give the same counts.  An (n, d) array, as offset_array
-    returns, is taken as its rows.
+    on a toroidal grid and read 0 outside a fixed-dead one.  Every offset
+    component goes through operator.index, so numpy integers are read as
+    Python ints and a non-integer raises DomainError.  An (n, d) array, as
+    offset_array returns, is taken as its rows.  A padded copy of more than
+    DEFAULT_CELL_CAP cells raises CapacityError before it is made.
     """
     if isinstance(offsets, np.ndarray):
-        # narrow numpy scalars overflow against axis lengths past their type
-        # (int8 + 256), and the k-radius recognition is ~10x slower on them
-        offsets = list(map(tuple, offsets.tolist()))
+        offsets = offsets.tolist()
+    # as ints before the plan's cache key is made: 1.0 == 1 and hashes alike
+    offsets = tuple(tuple(_as_int(c, "offset component") for c in off) for off in offsets)
     d = len(grid.dims)
     for off in offsets:
         if len(off) != d:
             raise DimensionError(f"offset {off} does not match grid dimension {d}")
     rule.check_fits(len(offsets))
 
-    # table[count, state] is the next state, gathered flat at 2*count + state;
-    # counts never exceed len(offsets), so that index fits the narrowest
-    # unsigned type holding 2*len(offsets) + 1
-    dtype = np.min_scalar_type(2 * len(offsets) + 1)
-    k_r = _as_k_radius(offsets, d)
-    if k_r is None:
-        index = _offset_index(grid, offsets, dtype)
-    else:
-        index = _ring_index(grid, *k_r, dtype)
+    # table[count, state] is the next state, gathered flat at 2*count + state,
+    # a block at a time: np.take casts its index to intp first
     table = np.zeros((len(offsets) + 1, 2), dtype=np.uint8)
     table[list(rule.birth), 0] = 1
     table[list(rule.survival), 1] = 1
-    return Grid(grid.dims, np.take(table.ravel(), index), grid.boundary)
+    index = _index(grid, offsets).reshape(-1)
+    states = np.empty(index.size, dtype=np.uint8)
+    for start in range(0, index.size, _GATHER_BLOCK):
+        block = slice(start, start + _GATHER_BLOCK)
+        np.take(table.ravel(), index[block], out=states[block])
+    return Grid(grid.dims, states.reshape(grid.dims), grid.boundary)
 
 
-def _as_k_radius(offsets: Sequence[Offset], d: int) -> tuple[int, int] | None:
-    """(k, r) when ``offsets`` are exactly the members of k_radius(d, k, r)
-    with k >= 2, in any order; None for every other list.
+_GATHER_BLOCK = 2**16  # cells gathered from the rule table at once
 
-    With r the largest |component| and k the most nonzero components, a list
-    of distinct nonzero offsets lies inside that set, so it is the set iff
-    it is as long.
+
+def _index(grid: Grid, offsets: tuple[Offset, ...]) -> np.ndarray:
+    """2*count + state per cell for ``offsets``, a tuple of int tuples.
+
+    Runs _count_plan's sums over one padded copy of the grid.  Counts never
+    exceed len(offsets), so the sums fit the narrowest unsigned type that
+    holds 2*len(offsets) + 1.
     """
-    if not len(offsets):
-        return None
-    r = int(max(map(abs, itertools.chain.from_iterable(offsets))))
-    # a set with k >= 2 holds the 2rd members with one nonzero component and
-    # the C(d, 2)(2r)^2 with two; this rejects most lists, and the huge r of
-    # far offsets, before any other work
-    if len(offsets) < 2 * r * d + d * (d - 1) // 2 * (2 * r) ** 2:
-        return None
-    sizes = [d - tuple(off).count(0) for off in offsets]
-    k = max(sizes)
-    if k < 2 or len(offsets) != count(k_radius(d, k, r)):
-        return None
-    if min(sizes) == 0 or len(set(map(tuple, offsets))) != len(offsets):
-        return None
-    return k, r
+    reach, sums = _count_plan(offsets, grid.dims, grid.boundary)
+    dtype = np.min_scalar_type(2 * len(offsets) + 1)
+    arrays = [_padded(grid, reach)]
+    for views, drops in sums:
+        first, *rest = [arrays[j][at] for j, at in views]
+        total = np.add(first, rest.pop(), dtype=dtype) if rest else first.astype(dtype)
+        for view in rest:
+            total += view
+        for j in drops:
+            arrays[j] = None
+        arrays.append(total)
+    # the last sum is count + state, and 2*count + state = 2*sum - state
+    index = arrays[-1]
+    index *= 2
+    index -= grid.states
+    return index
 
 
 def _padded(grid: Grid, reach: Sequence[int]) -> np.ndarray:
@@ -268,82 +262,78 @@ def _padded(grid: Grid, reach: Sequence[int]) -> np.ndarray:
     return np.pad(grid.states, [(p, p) for p in reach], mode=mode)
 
 
-def _offset_index(grid: Grid, offsets: Sequence[Offset], dtype: np.dtype) -> np.ndarray:
-    """2*count + state per cell, adding one view of the padded grid per offset."""
+@functools.lru_cache(maxsize=1)  # run steps with one list: every step after the first reuses it
+def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Boundary) -> tuple:
+    """(reach, sums): how _index sums views of the padded grid into counts.
+
+    The offsets and the zero offset (the cell itself) form a tree, built
+    from axis 0 up: at axis i a node is the sorted multiset of (component on
+    axis i, child node) over the offsets that agree on the axes after i, and
+    equal nodes are one node.  The root, and each node read at least twice
+    with at least two entries, is a sum (one array); other nodes are read
+    through their children, so each shared sub-sum is added once.
+
+    ``reach[i]`` pads axis i on each side.  ``sums[j]`` is (views, drops)
+    for array j + 1, array 0 being the padded grid: it adds its views
+    (earlier array, index tuple), then frees the arrays in ``drops``, which
+    it is the last to read.  A sum over axes 0..i is cropped on those axes
+    and padded on the others; the last sum is the root, count + state.
+    """
+    d = len(dims)
     # keep every pad within its axis: on a torus fold each component into
     # [-n//2, n - n//2); on a fixed-dead grid drop an offset that reaches a
-    # whole axis length, since it reads only dead cells
-    dims, d = grid.dims, len(grid.dims)
-    if grid.boundary is Boundary.TOROIDAL:
+    # whole axis length, since it reads only dead cells.  A folded repeat is
+    # one cell read through several offsets, so it counts once per offset.
+    if boundary is Boundary.TOROIDAL:
         near = [tuple((o + n // 2) % n - n // 2 for o, n in zip(off, dims)) for off in offsets]
     else:
         near = [off for off in offsets if all(abs(o) < n for o, n in zip(off, dims))]
-    reach = [max((abs(off[i]) for off in near), default=0) for i in range(d)]
-    padded = _padded(grid, reach)
-    counts = np.zeros(dims, dtype=dtype)
-    for off in near:
-        counts += padded[tuple(slice(p + o, p + o + n) for o, p, n in zip(off, reach, dims))]
-    counts *= 2
-    counts += grid.states
-    return counts
+    near.append((0,) * d)
+    reach = tuple(max(abs(off[i]) for off in near) for i in range(d))
 
+    # node ids in the order made, node 0 being the padded grid; tops pairs
+    # each node of the last axis done with the components after it
+    nodes: dict[tuple, int] = {(-1, ()): 0}
+    tops = [(off, 0) for off in near]
+    for axis in range(d):
+        groups = defaultdict(list)
+        for rest, child in tops:
+            groups[rest[1:]].append((rest[0], child))
+        tops = [(rest, nodes.setdefault((axis, tuple(sorted(entries))), len(nodes)))
+                for rest, entries in groups.items()]
+    tree = list(nodes)  # tree[node] = (axis, entries)
 
-def _ring_index(grid: Grid, k: int, r: int, dtype: np.dtype) -> np.ndarray:
-    """2*count + state per cell for the neighborhood k_radius(d, k, r).
+    # from the root down, a node that is not a sum passes its reads on
+    reads, is_sum = [0] * len(tree), [True] * len(tree)
+    reads[-1] = 1
+    for node in range(len(tree) - 1, 0, -1):
+        entries = tree[node][1]
+        is_sum[node] = node == len(tree) - 1 or (reads[node] >= 2 and len(entries) >= 2)
+        for _, child in entries:
+            reads[child] += 1 if is_sum[node] else reads[node]
 
-    The paper's row recurrence T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) read as
-    an algorithm.  sums[j] counts the live cells at offsets with at most j
-    nonzero components, all on the axes done so far and within r, the
-    center included; each axis updates it to sums[j] + ring(sums[j-1]),
-    where ring adds the shifts -r..r without 0 along that axis.  After the
-    last axis, sums[k] is the neighbor count plus the cell itself.
-    """
-    dims, d = grid.dims, len(grid.dims)
-    shifts = [*range(-r, 0), *range(1, r + 1)]
-    if grid.boundary is Boundary.TOROIDAL:
-        # folded as _offset_index folds; a repeated residue is one cell read
-        # through several offsets, so it counts once per offset
-        rings = [Counter((s + n // 2) % n - n // 2 for s in shifts) for n in dims]
-    else:
-        rings = [Counter(s for s in shifts if abs(s) < n) for n in dims]
-    reach = [max(map(abs, ring), default=0) for ring in rings]
-    # sums[j] is cropped on the axes done and padded on the rest; sums[j]
-    # for j past the highest key equals the highest key's
-    sums = {0: _padded(grid, reach)}
-    for i, (ring, p, n) in enumerate(zip(rings, reach, dims)):
-        top = max(sums)
-        # only sums[k - (axes left)] and above can still reach sums[k]
-        low = max(0, k - (d - 1 - i))
-        for j in range(min(top + 1, k), low - 1, -1):
-            base = _along(sums[min(j, top)], i, p, n)
-            sums[j] = _add_ring(base, sums[j - 1], ring, i, p, n, dtype) if j else base
-        for j in [j for j in sums if j < low]:
-            del sums[j]
-    # 2*count + state = 2*(sums[k] - state) + state, wrapping back into range
-    index = sums[k]
-    index *= 2
-    index -= grid.states
-    return index
-
-
-def _along(array: np.ndarray, axis: int, start: int, n: int) -> np.ndarray:
-    return array[(slice(None),) * axis + (slice(start, start + n),)]
-
-
-def _add_ring(
-    base: np.ndarray, source: np.ndarray, ring: Counter, axis: int, p: int, n: int, dtype: np.dtype
-) -> np.ndarray:
-    """A new ``dtype`` array: base plus source read at every shift in ring."""
-    total = None
-    for s, times in ring.items():
-        term = _along(source, axis, p + s, n)
-        if times > 1:
-            term = np.multiply(term, times, dtype=dtype)
-        if total is None:
-            total = np.add(base, term, dtype=dtype)
-        else:
-            total += term
-    return base.astype(dtype) if total is None else total
+    # a sum reads an earlier one through the nodes between them, each of
+    # which crops and shifts one axis
+    order = [node for node in range(len(tree)) if is_sum[node]]
+    array_of = {node: j for j, node in enumerate(order)}
+    sums, last_read = [], {}
+    for node in order[1:]:
+        views, stack = [], [(node, ())]
+        while stack:
+            at, path = stack.pop()
+            axis, entries = tree[at]
+            for c, child in entries:
+                if not is_sum[child]:
+                    stack.append((child, path + ((axis, c),)))
+                    continue
+                index = [slice(None)] * d
+                for i, s in path + ((axis, c),):
+                    index[i] = slice(reach[i] + s, reach[i] + s + dims[i])
+                views.append((array_of[child], tuple(index)))
+                last_read[array_of[child]] = len(sums) + 1
+        sums.append(tuple(views))
+    drops = [tuple(j for j, last in last_read.items() if last == k) for k in range(1, len(sums) + 1)]
+    return reach, tuple(zip(sums, drops))
 
 
 def run(

@@ -14,10 +14,12 @@ def count_lattice_paths(d: int, r: int) -> int:
     )
 
 
-def life_step_reference(live, dims, birth, survival, offsets, toroidal=True):
-    """Set-based synchronous step, written to be obviously correct, not fast."""
+def neighbour_counts_reference(live, dims, offsets, toroidal=True):
+    """Live-neighbour count of every cell, one lookup per offset in a set of
+    live cells: obviously correct, not fast.  A cell seen through several
+    offsets counts once per offset."""
     live = set(live)
-    out = set()
+    counts = {}
     for cell in itertools.product(*(range(n) for n in dims)):
         cnt = 0
         for off in offsets:
@@ -28,9 +30,15 @@ def life_step_reference(live, dims, birth, survival, offsets, toroidal=True):
                 continue
             if nb in live:
                 cnt += 1
-        if cnt in (survival if cell in live else birth):
-            out.add(cell)
-    return out
+        counts[cell] = cnt
+    return counts
+
+
+def life_step_reference(live, dims, birth, survival, offsets, toroidal=True):
+    """Set-based synchronous step, written to be obviously correct, not fast."""
+    live = set(live)
+    counts = neighbour_counts_reference(live, dims, offsets, toroidal)
+    return {cell for cell, cnt in counts.items() if cnt in (survival if cell in live else birth)}
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from conftest import life_step_reference
+from conftest import life_step_reference, neighbour_counts_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -421,38 +423,88 @@ def test_padded_copy_past_the_cell_cap_is_capacity_error(monkeypatch):
         assert population(step(make_grid((8, 8), boundary, GLIDER), LIFE, MOORE2)) == 5
 
 
-# ---------------------------------------------------------------- ring path
+# ---------------------------------------------------------------- count plan
 #
-# A k-radius list with k >= 2 is counted by per-axis ring sums; every other
-# list by the per-offset loop, which is kept as the ring path's oracle.
+# Every offset list is counted by one plan, which adds each sub-sum that
+# offsets share once; engine._index (2*count + state per cell) is checked
+# count for count against the set-based reference.
 
 
 def _index_dtype(offs):
     return np.min_scalar_type(2 * len(offs) + 1)
 
 
-def _assert_both_paths_match_reference(grid, rule, offs):
-    """step agrees with the set-based reference, and the ring sums with the
-    per-offset loop, count for count."""
+def _assert_index_matches_reference(grid, offs):
+    """engine._index is 2*count + state, the count from the set-based reference."""
+    toroidal = grid.boundary is Boundary.TOROIDAL
+    counts = neighbour_counts_reference(live_cells(grid), grid.dims, offs, toroidal=toroidal)
+    want = np.zeros(grid.dims, dtype=np.int64)
+    for cell, cnt in counts.items():
+        want[cell] = cnt
+    index = engine._index(grid, tuple(map(tuple, offs)))
+    assert index.dtype == _index_dtype(offs)
+    assert np.array_equal(index, 2 * want + grid.states)
+
+
+def _assert_step_matches_reference(grid, rule, offs):
+    """step agrees with the set-based reference step, and _index with the
+    reference counts."""
     toroidal = grid.boundary is Boundary.TOROIDAL
     live = set(live_cells(grid))
     want = life_step_reference(live, grid.dims, rule.birth, rule.survival, offs, toroidal=toroidal)
     got = step(grid, rule, offs)
     assert got.states.dtype == np.uint8
     assert set(live_cells(got)) == want
-    k_r = engine._as_k_radius(offs, len(grid.dims))
-    if k_r is not None:
-        dtype = _index_dtype(offs)
-        ring = engine._ring_index(grid, *k_r, dtype)
-        assert ring.dtype == dtype
-        assert np.array_equal(ring, engine._offset_index(grid, offs, dtype))
+    _assert_index_matches_reference(grid, offs)
+
+
+@st.composite
+def offset_worlds(draw):
+    # 1..3 axes of 1..5 cells; offsets with components -7..7, some from a
+    # neighbourhood (so that they share sub-sums), some at random, with
+    # repeats and the zero offset, in any order
+    d = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    family = draw(st.sampled_from([moore, diamond, narrow_von_neumann]))
+    members = enumerate_offsets(family(d, draw(st.integers(1, 2 if d == 3 else 3))))
+    offs = draw(st.lists(st.sampled_from(members), max_size=len(members), unique=True))
+    offs += draw(st.lists(st.tuples(*[st.integers(-7, 7)] * d), max_size=12))
+    if offs:
+        offs += draw(st.lists(st.sampled_from(offs), max_size=4))
+    offs += [(0,) * d] * draw(st.integers(0, 2))
+    offs = draw(st.permutations(offs))
+    live = draw(st.sets(st.tuples(*(st.integers(0, n - 1) for n in dims))))
+    return dims, offs, live
+
+
+@settings(deadline=None, max_examples=150)
+@given(world=offset_worlds(), boundary=st.sampled_from(list(Boundary)))
+def test_index_of_any_offset_list_matches_reference_counts(world, boundary):
+    dims, offs, live = world
+    _assert_index_matches_reference(make_grid(dims, boundary, sorted(live)), offs)
+
+
+@pytest.mark.parametrize(
+    "spec, sums, views",
+    [(k_radius(5, 3, 1), 7, 25), (moore(2, 5), 2, 22), (diamond(2, 5), 5, 45), (moore(2), 2, 6)],
+    ids=["k3", "moore5", "diamond5", "life"],
+)
+def test_count_plan_adds_shared_sub_sums_once(spec, sums, views):
+    # Moore sums one line per axis; diamond(2, 5) sums the lines of
+    # half-width 1..4, which two rows each share, and reads the rest through
+    # them; without sharing there would be one view per offset
+    offs = tuple(enumerate_offsets(spec))
+    for boundary in Boundary:
+        reach, plan = engine._count_plan(offs, (64,) * spec.dimension, boundary)
+        assert reach == (spec.r,) * spec.dimension
+        assert (len(plan), sum(len(made) for made, _ in plan)) == (sums, views)
 
 
 @st.composite
 def k_radius_worlds(draw):
-    # d = 2..4 (k >= 2 needs two axes), k = 2..d, r = 1..3 and axes of 1..5
-    # cells (r <= 2 and 1..3 cells at d = 4, which keeps the reference step
-    # small), so that many axes are shorter than the span 2r + 1
+    # d = 2..4, k = 2..d, r = 1..3 and axes of 1..5 cells (r <= 2 and 1..3
+    # cells at d = 4, which keeps the reference step small), so that many
+    # axes are shorter than the span 2r + 1
     d = draw(st.integers(2, 4))
     k, r = draw(st.integers(2, d)), draw(st.integers(1, 3 if d < 4 else 2))
     dims = tuple(draw(st.lists(st.integers(1, 5 if d < 4 else 3), min_size=d, max_size=d)))
@@ -464,27 +516,35 @@ def k_radius_worlds(draw):
     edges = draw(st.sampled_from([{0, len(offs)}, {0}, {len(offs)}, set()]))
     counts = st.sets(st.integers(0, len(offs)), max_size=5)
     rule = Rule(frozenset(draw(counts) | edges), frozenset(draw(counts) | edges))
-    return dims, offs, (k, r), live, rule
+    return dims, offs, live, rule
 
 
 @settings(deadline=None, max_examples=80)
 @given(world=k_radius_worlds(), boundary=st.sampled_from(list(Boundary)))
-def test_ring_path_matches_reference_oracle(world, boundary):
-    dims, offs, shape, live, rule = world
-    assert engine._as_k_radius(offs, len(dims)) == shape
-    _assert_both_paths_match_reference(make_grid(dims, boundary, sorted(live)), rule, offs)
+def test_k_radius_lists_match_reference_oracle(world, boundary):
+    dims, offs, live, rule = world
+    _assert_step_matches_reference(make_grid(dims, boundary, sorted(live)), rule, offs)
+
+
+def _soup(dims, boundary, seed=5):
+    rng = np.random.default_rng(seed)
+    return make_grid(dims, boundary, np.argwhere(rng.random(dims) < 0.4))
 
 
 @pytest.mark.parametrize("d, k, r", [(1, 1, 3), (2, 1, 2), (3, 1, 1)])
-def test_k_one_lists_take_the_per_offset_path(d, k, r):
-    assert engine._as_k_radius(enumerate_offsets(k_radius(d, k, r)), d) is None
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_k_one_lists_match_reference_counts(d, k, r, boundary):
+    offs = enumerate_offsets(k_radius(d, k, r))
+    _assert_index_matches_reference(_soup((9, 7, 5)[:d], boundary), offs)
 
 
-def test_permuted_moore_list_takes_the_ring_path():
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_permuted_moore_lists_match_reference_counts(boundary):
     offs = enumerate_offsets(moore(3, 2))
-    assert engine._as_k_radius(offs[::-1], 3) == (3, 2)
-    assert engine._as_k_radius(offs[1::2] + offs[::2], 3) == (3, 2)
-    assert engine._as_k_radius([list(off) for off in offs], 3) == (3, 2)
+    grid = _soup((6, 5, 7), boundary)
+    for permuted in (offs[::-1], offs[1::2] + offs[::2]):
+        _assert_index_matches_reference(grid, permuted)
+    assert step(grid, LIFE, [list(off) for off in offs]) == step(grid, LIFE, offs)
 
 
 _MOORE3 = enumerate_offsets(moore(3))
@@ -503,17 +563,15 @@ _NEAR_MISSES = {
 
 @pytest.mark.parametrize("name", sorted(_NEAR_MISSES))
 @pytest.mark.parametrize("boundary", list(Boundary))
-def test_near_miss_lists_take_the_per_offset_path(name, boundary):
+def test_near_miss_lists_match_reference_oracle(name, boundary):
+    # lists that are almost a k-radius neighbourhood
     offs = _NEAR_MISSES[name]
-    assert engine._as_k_radius(offs, 3) is None
-    rng = np.random.default_rng(5)
-    grid = make_grid((4, 3, 5), boundary, np.argwhere(rng.random((4, 3, 5)) < 0.4))
+    grid = _soup((4, 3, 5), boundary)
     counts = sorted({0, 1, 4, 9, len(offs) // 2, len(offs)})
-    _assert_both_paths_match_reference(grid, Rule(frozenset(counts[::2]), frozenset(counts[1::2])), offs)
+    _assert_step_matches_reference(grid, Rule(frozenset(counts[::2]), frozenset(counts[1::2])), offs)
 
 
-# diamond(2, 5) on 512^2 folds int8 components past 127 (per-offset path);
-# moore(2, 5) is recognised as k-radius (ring path)
+# diamond(2, 5) on 512^2 folds int8 components past 127
 @pytest.mark.parametrize("spec, n", [(diamond(2, 5), 512), (moore(2, 5), 64)])
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_offset_array_rows_step_as_the_tuple_list(spec, n, boundary):
@@ -524,10 +582,28 @@ def test_offset_array_rows_step_as_the_tuple_list(spec, n, boundary):
     assert run(grid, LIFE, array, 2) == run(grid, LIFE, offs, 2)
 
 
+@pytest.mark.parametrize("n", [5, 512])
+def test_numpy_scalar_offsets_step_as_python_ints(n):
+    # int8 components: 2*p and o + n//2 must not wrap, nor warn
+    array = offset_array(diamond(2, 5))
+    grid = make_grid((n, n), Boundary.TOROIDAL, np.argwhere(np.random.default_rng(2).random((n, n)) < 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = step(grid, LIFE, [tuple(row) for row in array])
+    assert got == step(grid, LIFE, enumerate_offsets(diamond(2, 5)))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", None])
+def test_non_integer_offset_components_are_domain_errors(bad):
+    grid, rule = make_grid((6, 6), live_cells=GLIDER), Rule(frozenset({1}), frozenset({1, 2}))
+    step(grid, rule, [(1, 0), (0, 1)])  # 1.0 == 1 and hashes alike: the plan is not reused
+    with pytest.raises(DomainError, match="offset component must be an integer"):
+        step(grid, rule, [(bad, 0), (0, 1)])
+
+
 # k-radius sizes are even: |N| = 126 and 128 straddle the switch from uint8
 # at 127, and moore(2, 90) = 32760 and moore(2, 91) = 33488 the one from
-# uint16 at 32767; at d = 1 (k = 1, so per offset) 2r = 128 and 32768 are
-# just past either switch
+# uint16 at 32767; at d = 1, 2r = 128 and 32768 are just past either switch
 @pytest.mark.parametrize(
     "spec, dims, dtype",
     [
@@ -543,8 +619,6 @@ def test_offset_array_rows_step_as_the_tuple_list(spec, n, boundary):
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_k_radius_lists_where_the_count_type_widens_match_reference_oracle(spec, dims, dtype, boundary):
     offs = enumerate_offsets(spec)
-    want = (spec.k, spec.r) if spec.k >= 2 else None
-    assert engine._as_k_radius(offs, len(dims)) == want
     assert _index_dtype(offs) == dtype
     size = len(offs)
     rule = Rule(frozenset({0, size // 2}), frozenset({1, size}))
@@ -552,7 +626,27 @@ def test_k_radius_lists_where_the_count_type_widens_match_reference_oracle(spec,
     # on the all-live torus every offset reads a live cell: the index is 2|N| + 1
     soups = [full] if size > 1000 else [full, set(itertools.islice(sorted(full), 0, None, 3))]
     for live in soups:
-        _assert_both_paths_match_reference(make_grid(dims, boundary, sorted(live)), rule, offs)
+        _assert_step_matches_reference(make_grid(dims, boundary, sorted(live)), rule, offs)
+
+
+@pytest.mark.parametrize(
+    "spec, dims, bound",
+    [(moore(2), (1024, 1024), 5), (k_radius(5, 3, 1), (16,) * 5, 13)],
+    ids=["life-1024^2", "k3-16^5"],
+)
+def test_step_memory_per_cell(spec, dims, bound):
+    # the padded copy, the plan's sums, the next grid and the gather's
+    # intp blocks, as tracemalloc sees numpy's buffers
+    offs = enumerate_offsets(spec)
+    grid = _soup(dims, Boundary.TOROIDAL)
+    step(grid, LIFE, offs)  # the plan
+    tracemalloc.start()
+    try:
+        step(grid, LIFE, offs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * grid.states.size
 
 
 # ---------------------------------------------------------------- text formats
