@@ -110,11 +110,10 @@ def _cmd_sequence(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    # a range below 1 checks nothing, and nothing checked is no pass
-    for flag, value in ("--max-d", args.max_d), ("--max-k", args.max_k), ("--max-r", args.max_r):
-        if value is not None and value < 1:
-            parser.error(f"{flag} must be >= 1")
-    results = run_verification(args.max_d, args.max_k, args.max_r)
+    try:
+        results = run_verification(args.max_d, args.max_k, args.max_r)
+    except DomainError as exc:  # a range below 1, which would check nothing
+        parser.error(str(exc))
     width = max(len(r.name) for r in results)
     failed = False
     for r in results:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .errors import CapacityError, DomainError
-from .neighborhoods import DEFAULT_COUNT_BITS, Family, NeighborhoodSpec, _as_int, diamond, k_radius, moore
+from .neighborhoods import DEFAULT_COUNT_BITS, Family, NeighborhoodSpec, _as_int, _exact, diamond, k_radius, moore
 from .neighborhoods import brute_force_count  # read only by perfbench/tracing.py, which wraps it
 
 
@@ -25,7 +25,7 @@ def binomial(n: int, k: int) -> int:
     """C(n, k), exact; 0 when k > n."""
     n, k = _as_int(n, "n"), _as_int(k, "k")
     if n < 0 or k < 0:
-        raise DomainError(f"binomial needs nonnegative arguments, got ({n}, {k})")
+        raise DomainError(f"binomial needs nonnegative arguments, got {_exact((n, k))}")
     return math.comb(n, k)
 
 
@@ -132,7 +132,7 @@ def _delannoy_row(d: int, r: int) -> list[int]:
     # [D(d, 0), ..., D(d, r)], by the recurrence in delannoy's docstring
     d, r = _as_int(d, "d"), _as_int(r, "r")
     if d < 0 or r < 0:
-        raise DomainError(f"need d >= 0 and r >= 0, got d={d}, r={r}")
+        raise DomainError(f"need d >= 0 and r >= 0, got d={_exact(d)}, r={_exact(r)}")
     row = [1] * (r + 1)
     for _ in range(d):
         new = [1] * (r + 1)
@@ -187,7 +187,7 @@ def count(spec: NeighborhoodSpec) -> int:
     other = r * (2 * d + 1).bit_length() if is_diamond else spec.k * (2 * r * d).bit_length() + 1
     bits = min(d * (2 * r + 1).bit_length(), other)
     if bits > DEFAULT_COUNT_BITS:
-        raise CapacityError(f"count of up to {bits} bits would exceed the cap of {DEFAULT_COUNT_BITS}")
+        raise CapacityError(f"count of up to {_exact(bits)} bits would exceed the cap of {DEFAULT_COUNT_BITS}")
     if is_diamond:
         return diamond_sharp_count(d, r) if spec.sharp_r else diamond_count(d, r)
     # C(d, j) * (2r)^j and C(d, j) * (s * (2r-2))^j, stepped from j - 1 to j

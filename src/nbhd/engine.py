@@ -40,7 +40,7 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
-from .neighborhoods import _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _offset_lines
+from .neighborhoods import _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _exact, _offset_lines
 
 
 class Boundary(enum.Enum):
@@ -77,13 +77,13 @@ class Rule:
             object.__setattr__(self, name, counts)
         for n in self.birth | self.survival:
             if n < 0:
-                raise DomainError(f"rule counts must be nonnegative, got {n}")
+                raise DomainError(f"rule counts must be nonnegative, got {_exact(n)}")
 
     def check_fits(self, size: int) -> None:
         """Raise DomainError when a count exceeds the neighborhood size."""
         for n in self.birth | self.survival:
             if n > size:
-                raise DomainError(f"rule count {n} exceeds the neighborhood size {size}")
+                raise DomainError(f"rule count {_exact(n)} exceeds the neighborhood size {_exact(size)}")
 
 
 def parse_rule(text: str) -> Rule:
@@ -137,10 +137,10 @@ def make_grid(
     """
     dims = tuple(_as_int(n, "grid dim") for n in dims)
     if not dims or any(n < 1 for n in dims):
-        raise DomainError(f"grid dims must be positive, got {dims}")
+        raise DomainError(f"grid dims must be positive, got {_exact(dims)}")
     cells = math.prod(dims)
     if cells > DEFAULT_CELL_CAP:
-        raise CapacityError(f"grid of {cells} cells would exceed the cap of {DEFAULT_CELL_CAP}")
+        raise CapacityError(f"grid of {_exact(cells)} cells would exceed the cap of {DEFAULT_CELL_CAP}")
     if not isinstance(live_cells, np.ndarray):
         live_cells = list(live_cells)
     try:
@@ -171,11 +171,11 @@ def _check_cell(cell: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:
     try:
         cell = tuple(_as_int(c, "cell coordinate") for c in cell)
     except TypeError:  # a bare number
-        raise DimensionError(f"live cell {cell!r} is not a coordinate sequence") from None
+        raise DimensionError(f"live cell {_exact(cell)} is not a coordinate sequence") from None
     if len(cell) != len(dims):
-        raise DimensionError(f"cell {cell} does not match grid dimension {len(dims)}")
+        raise DimensionError(f"cell {_exact(cell)} does not match grid dimension {len(dims)}")
     if any(not 0 <= c < n for c, n in zip(cell, dims)):
-        raise BoundsError(f"cell {cell} outside grid of dims {dims}")
+        raise BoundsError(f"cell {_exact(cell)} outside grid of dims {_exact(dims)}")
     return cell
 
 
@@ -206,7 +206,7 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     d = len(grid.dims)
     for off in offsets:
         if len(off) != d:
-            raise DimensionError(f"offset {off} does not match grid dimension {d}")
+            raise DimensionError(f"offset {_exact(off)} does not match grid dimension {d}")
     rule.check_fits(len(offsets))
 
     # table[count, state] is the next state, gathered flat at 2*count + state,
@@ -349,7 +349,7 @@ def run(
     the population.  steps=0 returns the input grid unchanged.
     """
     if (steps := _as_int(steps, "steps")) < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+        raise DomainError(f"steps must be >= 0, got {_exact(steps)}")
     current = grid
     for i in range(1, steps + 1):
         current = step(current, rule, offsets)

@@ -37,12 +37,27 @@ DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
 # at its peak offset_array holds 3-13 bytes per component, enumerate_offsets 20-70
 DEFAULT_OFFSET_CAP = 2**24  # components, offsets * dimension
 DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory stays bounded
-# a per-offset step holds about 12 bytes per cell; a ring step on short axes
-# holds padded partial sums, about 49 bytes per cell on a 6^8 torus
+# a step holds its padded copy and the count plan's partial sums, each padded
+# on the axes not yet summed: about 3 bytes per cell for 1024^2 Life, 13 for
+# k_radius(5, 3, 1) on 16^5, 49 for k_radius(8, 4, 1) on a 6^8 torus
 DEFAULT_CELL_CAP = 2**28  # grids and padded copies
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
 _BOX_CHUNK = 2**16  # box points decoded at once: a (points, d) int64 array
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # an integer field of offset, pattern and b-file text
+
+
+def _exact(value) -> str:
+    """An int, or a tuple of ints, as str writes it, but exact at any size:
+    each int goes through Decimal, since str(int) stops at the interpreter's
+    4300-digit limit.  Any other value is its repr.  Error messages write
+    their values through it."""
+    if isinstance(value, tuple):
+        parts = [_exact(v) for v in value]
+        return f"({', '.join(parts)}{',' * (len(parts) == 1)})"
+    try:
+        return str(decimal.Decimal(operator.index(value)))
+    except TypeError:
+        return repr(value)
 
 
 def _as_int(value, name: str) -> int:
@@ -81,15 +96,15 @@ class NeighborhoodSpec:
         for name in ("dimension", "r") if self.k is None else ("dimension", "k", "r"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.dimension < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.dimension}")
+            raise DomainError(f"dimension must be >= 1, got {_exact(self.dimension)}")
         if self.r < 1:
-            raise DomainError(f"r must be >= 1, got {self.r}")
+            raise DomainError(f"r must be >= 1, got {_exact(self.r)}")
         if self.family is Family.K_RADIUS:
             if self.k is None:
                 raise DomainError("k is required for the k-radius family")
             if not 1 <= self.k <= self.dimension:
                 raise DomainError(
-                    f"k must satisfy 1 <= k <= dimension={self.dimension}, got {self.k}"
+                    f"k must satisfy 1 <= k <= dimension={_exact(self.dimension)}, got {_exact(self.k)}"
                 )
         else:
             if self.k is not None:
@@ -131,7 +146,7 @@ def contains(spec: NeighborhoodSpec, delta: Sequence[int]) -> bool:
     """
     if len(delta) != spec.dimension:
         raise DimensionError(
-            f"offset has {len(delta)} components, spec dimension is {spec.dimension}"
+            f"offset has {len(delta)} components, spec dimension is {_exact(spec.dimension)}"
         )
     if spec.family is Family.DIAMOND:
         total = sum(abs(c) for c in delta)
@@ -221,7 +236,7 @@ def offset_array(spec: NeighborhoodSpec) -> np.ndarray:
     total = count(spec)
     if total * spec.dimension > DEFAULT_OFFSET_CAP:
         raise CapacityError(
-            f"{total} offsets of {spec.dimension} components would exceed "
+            f"{_exact(total)} offsets of {_exact(spec.dimension)} components would exceed "
             f"the cap of {DEFAULT_OFFSET_CAP} components"
         )
     d, r = spec.dimension, spec.r
@@ -260,7 +275,7 @@ def brute_force_count(spec: NeighborhoodSpec) -> int:
     box = (2 * r + 1) ** d
     if box > DEFAULT_BOX_CAP:
         raise CapacityError(
-            f"box of {box} lattice points would exceed the cap of {DEFAULT_BOX_CAP}"
+            f"box of {_exact(box)} lattice points would exceed the cap of {DEFAULT_BOX_CAP}"
         )
     found = 0
     for start in range(0, box, _BOX_CHUNK):

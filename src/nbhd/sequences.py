@@ -15,7 +15,7 @@ import operator
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, DomainError, ParseError
-from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int
+from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact
 
 
 class SequenceId(enum.Enum):
@@ -93,9 +93,9 @@ def generate(seq_id: SequenceId, terms: int) -> list[SequenceEntry]:
     sequence's declared offset; at most DEFAULT_TERM_CAP (2**16) terms."""
     terms = _as_int(terms, "terms")
     if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
+        raise DomainError(f"terms must be >= 1, got {_exact(terms)}")
     if terms > DEFAULT_TERM_CAP:
-        raise CapacityError(f"{terms} terms would exceed the cap of {DEFAULT_TERM_CAP}")
+        raise CapacityError(f"{_exact(terms)} terms would exceed the cap of {DEFAULT_TERM_CAP}")
     offset, values = _lookup(seq_id)
     return [SequenceEntry(offset + i, v) for i, v in enumerate(itertools.islice(values(), terms))]
 

@@ -10,8 +10,11 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import counting
+from .errors import DomainError
 from .neighborhoods import (
     NeighborhoodSpec,
+    _as_int,
+    _exact,
     brute_force_count,
     diamond,
     enumerate_offsets,  # noqa: F401 -- perfbench/tracing.py wraps the name at this site
@@ -153,9 +156,16 @@ def check_oracle_agreement(max_d: int, max_k: int, max_r: int) -> CheckResult:
 
 
 def run_verification(max_d: int = 4, max_k: int | None = None, max_r: int = 3) -> list[CheckResult]:
-    """All cross-checks over the given ranges."""
-    if max_k is None:
-        max_k = max_d
+    """All cross-checks over the given ranges, max_k defaulting to max_d.
+
+    A range below 1 would check nothing, and nothing checked is no pass, so
+    it raises DomainError.
+    """
+    max_d, max_r = _as_int(max_d, "max_d"), _as_int(max_r, "max_r")
+    max_k = max_d if max_k is None else _as_int(max_k, "max_k")
+    for name, value in ("max_d", max_d), ("max_k", max_k), ("max_r", max_r):
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {_exact(value)}")
     return [
         check_sharp_k_formula_vs_recurrence(max_d),
         check_k_formula_vs_recurrence(max_d),

@@ -20,7 +20,8 @@ from nbhd import cli, diamond, engine, enumerate_offsets, format_offset, k_radiu
 from nbhd.cli import main
 from nbhd.neighborhoods import DEFAULT_TERM_CAP, Family
 from nbhd.sequences import SequenceId, format_term
-from nbhd.verification import iter_specs
+from nbhd.errors import DomainError
+from nbhd.verification import iter_specs, run_verification
 
 GLIDER_LINES = "1,2\n2,3\n3,1\n3,2\n3,3\n"
 
@@ -233,6 +234,24 @@ def test_verify_small_ranges(capsys):
     assert "all checks passed" in out
     assert "FAIL" not in out
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        ((0,), "max_d must be >= 1"),
+        ((-3, None, 2), "max_d must be >= 1"),
+        ((4, 0, 3), "max_k must be >= 1"),
+        ((2, None, 0), "max_r must be >= 1"),
+        ((2.5,), "max_d must be an integer"),
+    ],
+)
+def test_run_verification_refuses_a_range_that_checks_nothing(ranges, message):
+    # run_verification(0) once passed eight checks of 0 cases, and max_k = 0
+    # skipped every k-radius spec of the oracle check
+    with pytest.raises(DomainError, match=message):
+        run_verification(*ranges)
+    assert all(result.ok and result.cases for result in run_verification(2, 2, 2))
 
 
 # ---------------------------------------------------------------- simulate
