@@ -15,10 +15,18 @@ paper's row recurrence T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) as ring sums
 (25 views in 7 sums for k_radius(5, 3, 1), against 130 offsets), for a
 diamond the Delannoy recurrence D(d, r) = D(d-1, r) + D(d-1, r-1) + D(d, r-1)
 (45 views for diamond(2, 5), against 60), and for a list with no shared
-parts one view per offset.  Counts accumulate in the narrowest unsigned type
-that holds the rule-table index 2*|N| + 1 (uint8 up to |N| = 127, uint16 up
-to 32767, uint32 above), and the next state is gathered from the table with
-np.take, a block of cells at a time.
+parts one view per offset.  Offsets that fold onto one cell of a small torus
+are one view, multiplied.
+
+A cell's next state depends on its key count + (|N|+1)*state.  The plan's
+sums make count + state in the narrowest unsigned type that holds the
+largest key 2|N| + 1 (uint8 up to |N| = 127, uint16 up to 32767, uint32
+above), and a block of cells at a time adds |N|*state.  Birth counts are
+keys 0..|N| and survival counts keys |N|+1..2|N|+1, so a rule that is a
+span of birth counts and one of survival counts, as most are, is two runs
+of live keys.  Each run [a, b] is one compare (key - a) <= b - a in the
+key's own type.  Past _MAX_RUNS runs, where that costs more than a gather,
+the next state is gathered from a table with np.take instead.
 
 Grids are immutable values from the caller's perspective: step always
 returns a fresh grid and never writes to an existing one.
@@ -32,7 +40,7 @@ import io
 import math
 import re
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
@@ -121,6 +129,9 @@ def format_rule(rule: Rule) -> str:
     return f"B{part(rule.birth)}/S{part(rule.survival)}"
 
 
+_MAX_AXES = 64  # numpy's limit on an array's dimensions
+
+
 def make_grid(
     dims: Sequence[int],
     boundary: Boundary = Boundary.TOROIDAL,
@@ -131,13 +142,16 @@ def make_grid(
     ``live_cells`` is an (n, d) integer array, as load_pattern returns, or
     any iterable of coordinate sequences; zero rows mean no live cells,
     whatever their width and dtype.  A dim or coordinate that is not an
-    integer raises DomainError.  A cell with other than ``len(dims)``
-    components raises DimensionError; the first cell outside the grid (a
-    coordinate outside int64 included) raises BoundsError.
+    integer raises DomainError.  More than 64 dims (numpy's limit), or a
+    cell with other than ``len(dims)`` components, raises DimensionError; the
+    first cell outside the grid (a coordinate outside int64 included) raises
+    BoundsError.
     """
     dims = tuple(_as_int(n, "grid dim") for n in dims)
     if not dims or any(n < 1 for n in dims):
         raise DomainError(f"grid dims must be positive, got {_exact(dims)}")
+    if len(dims) > _MAX_AXES:
+        raise DimensionError(f"grid of {len(dims)} axes exceeds numpy's limit of {_MAX_AXES}")
     cells = math.prod(dims)
     if cells > DEFAULT_CELL_CAP:
         raise CapacityError(f"grid of {_exact(cells)} cells would exceed the cap of {DEFAULT_CELL_CAP}")
@@ -162,7 +176,12 @@ def make_grid(
         outside = ((coords < 0) | (coords >= dims)).any(axis=1)
         if outside.any():
             _check_cell(coords[outside.argmax()].tolist(), dims)
-        states[tuple(coords.T)] = 1
+        # one flat index per cell: numpy takes at most 63 index arrays
+        flat = np.zeros(len(coords), dtype=np.int64)
+        for column, n in zip(coords.T, dims):
+            flat *= n
+            flat += column
+        states.reshape(-1)[flat] = 1
     return Grid(dims, states, boundary)
 
 
@@ -207,47 +226,107 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     for off in offsets:
         if len(off) != d:
             raise DimensionError(f"offset {_exact(off)} does not match grid dimension {d}")
-    rule.check_fits(len(offsets))
+    n = len(offsets)
+    rule.check_fits(n)
 
-    # table[count, state] is the next state, gathered flat at 2*count + state,
-    # a block at a time: np.take casts its index to intp first
-    table = np.zeros((len(offsets) + 1, 2), dtype=np.uint8)
-    table[list(rule.birth), 0] = 1
-    table[list(rule.survival), 1] = 1
-    index = _index(grid, offsets).reshape(-1)
-    states = np.empty(index.size, dtype=np.uint8)
-    for start in range(0, index.size, _GATHER_BLOCK):
-        block = slice(start, start + _GATHER_BLOCK)
-        np.take(table.ravel(), index[block], out=states[block])
+    runs, table = _lookup(rule, n)
+    # count + state per cell, flat in C order whatever the grid's layout; a
+    # block at a time it becomes the key count + (n+1)*state, then the next
+    # state
+    key, alive = _index(grid, offsets).reshape(-1), grid.states.reshape(-1)
+    states = np.empty(key.size, dtype=np.uint8)
+    part = np.empty(min(key.size, _BLOCK), dtype=key.dtype)
+    scratch = np.empty(min(key.size, _BLOCK), dtype=bool)
+    for start in range(0, key.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        here = key[block]
+        here += np.multiply(alive[block], n, out=part[: here.size], dtype=key.dtype)
+        if table is None:
+            _test_runs(here, runs, states[block].view(bool), scratch)
+        else:
+            np.take(table, here, out=states[block])
     return Grid(grid.dims, states.reshape(grid.dims), grid.boundary)
 
 
-_GATHER_BLOCK = 2**16  # cells gathered from the rule table at once
+_BLOCK = 2**16  # cells whose key is made or looked up at once
+# Past this many runs of live keys np.take is faster than testing the runs.
+# Steps timed with each lookup forced (2 shared vCPUs, medians of 31
+# alternating rounds of 10 steps): on a 1024^2 torus with Moore-1 (uint8
+# keys) np.take took 3.0 ms for any rule and the runs 1.35 ms for 2 runs,
+# 2.21 for 6 and 2.85 for 9; with moore(2, 8) on 512^2 (uint16 keys) np.take
+# took 2.8 ms, the runs 2.43 for 2, 2.70 for 6 and 2.83 for 7.
+_MAX_RUNS = 6
+
+
+@functools.lru_cache(maxsize=1)  # run steps with one rule: every step after the first reuses it
+def _lookup(rule: Rule, n: int) -> tuple[list[list[int]], np.ndarray | None]:
+    """(runs, table): how step finds the next state for ``rule`` and n offsets.
+
+    A cell comes out live iff its key count + (n+1)*state is a birth count
+    or n + 1 past a survival count.  Up to _MAX_RUNS runs of such keys, step
+    tests a block of keys run by run, and ``table`` is None; past it, it
+    gathers the next state from ``table`` with np.take, which first casts
+    each block of keys to intp.
+    """
+    live = sorted(rule.birth | {n + 1 + c for c in rule.survival})
+    runs: list[list[int]] = []  # maximal runs [a, b] of consecutive live keys
+    for k in live:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    if len(runs) <= _MAX_RUNS:
+        return runs, None
+    table = np.zeros(2 * n + 2, dtype=np.uint8)
+    table[live] = 1
+    table.flags.writeable = False  # shared by every step that reuses it
+    return runs, table
+
+
+def _test_runs(key: np.ndarray, runs: Sequence[Sequence[int]], live: np.ndarray, scratch: np.ndarray) -> None:
+    """live = key is in one of ``runs``, sorted disjoint [a, b]; ``key`` is
+    overwritten, and ``scratch`` is a bool array at least as long.
+
+    In the key's unsigned type key - a wraps below a, so one compare
+    (key - a) <= b - a tests a run.  Each run subtracts its start less the
+    previous start in place, which leaves key - a in ``key``.
+    """
+    if not runs:
+        live[...] = False
+    other, below = scratch[: key.size], 0
+    for i, (a, b) in enumerate(runs):
+        if a != below:
+            key -= a - below
+            below = a
+        np.less_equal(key, b - a, out=other if i else live)
+        if i:
+            live |= other
 
 
 def _index(grid: Grid, offsets: tuple[Offset, ...]) -> np.ndarray:
-    """2*count + state per cell for ``offsets``, a tuple of int tuples.
+    """count + state per cell, of the shape of the grid, for ``offsets``, a
+    tuple of int tuples.
 
     Runs _count_plan's sums over one padded copy of the grid.  Counts never
-    exceed len(offsets), so the sums fit the narrowest unsigned type that
-    holds 2*len(offsets) + 1.
+    exceed n = len(offsets), so the sums are made in the narrowest unsigned
+    type that holds the largest key 2n + 1, which step adds n*state toward.
     """
+    n = len(offsets)
     reach, sums = _count_plan(offsets, grid.dims, grid.boundary)
-    dtype = np.min_scalar_type(2 * len(offsets) + 1)
+    dtype = np.min_scalar_type(2 * n + 1)
     arrays = [_padded(grid, reach)]
     for views, drops in sums:
-        first, *rest = [arrays[j][at] for j, at in views]
-        total = np.add(first, rest.pop(), dtype=dtype) if rest else first.astype(dtype)
-        for view in rest:
-            total += view
+        # a view read ``times`` times is added once, multiplied
+        terms = (arrays[j][at] if times == 1 else np.multiply(arrays[j][at], times, dtype=dtype)
+                 for j, at, times in views)
+        first, second = next(terms), next(terms, None)
+        total = first.astype(dtype) if second is None else np.add(first, second, dtype=dtype)
+        for term in terms:
+            total += term
         for j in drops:
             arrays[j] = None
         arrays.append(total)
-    # the last sum is count + state, and 2*count + state = 2*sum - state
-    index = arrays[-1]
-    index *= 2
-    index -= grid.states
-    return index
+    return arrays[-1]
 
 
 def _padded(grid: Grid, reach: Sequence[int]) -> np.ndarray:
@@ -268,22 +347,25 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
 
     The offsets and the zero offset (the cell itself) form a tree, built
     from axis 0 up: at axis i a node is the sorted multiset of (component on
-    axis i, child node) over the offsets that agree on the axes after i, and
-    equal nodes are one node.  The root, and each node read at least twice
-    with at least two entries, is a sum (one array); other nodes are read
-    through their children, so each shared sub-sum is added once.
+    axis i, child node) over the offsets that agree on the axes after i,
+    held as ((component, child), multiplicity) entries, and equal nodes are
+    one node.  The root, and each node read at least twice with at least two
+    entries, is a sum (one array); other nodes are read through their
+    children, so each shared sub-sum is added once.
 
     ``reach[i]`` pads axis i on each side.  ``sums[j]`` is (views, drops)
     for array j + 1, array 0 being the padded grid: it adds its views
-    (earlier array, index tuple), then frees the arrays in ``drops``, which
-    it is the last to read.  A sum over axes 0..i is cropped on those axes
-    and padded on the others; the last sum is the root, count + state.
+    (earlier array, index tuple, times), each distinct view once times the
+    number of ways the offsets read it, then frees the arrays in ``drops``,
+    which it is the last to read.  A sum over axes 0..i is cropped on those
+    axes and padded on the others; the last sum is the root, count + state.
     """
     d = len(dims)
     # keep every pad within its axis: on a torus fold each component into
     # [-n//2, n - n//2); on a fixed-dead grid drop an offset that reaches a
     # whole axis length, since it reads only dead cells.  A folded repeat is
-    # one cell read through several offsets, so it counts once per offset.
+    # one cell read through several offsets, so it counts once per offset:
+    # one view, multiplied.
     if boundary is Boundary.TOROIDAL:
         near = [tuple((o + n // 2) % n - n // 2 for o, n in zip(off, dims)) for off in offsets]
     else:
@@ -296,10 +378,10 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
     nodes: dict[tuple, int] = {(-1, ()): 0}
     tops = [(off, 0) for off in near]
     for axis in range(d):
-        groups = defaultdict(list)
+        groups: defaultdict[tuple, Counter] = defaultdict(Counter)
         for rest, child in tops:
-            groups[rest[1:]].append((rest[0], child))
-        tops = [(rest, nodes.setdefault((axis, tuple(sorted(entries))), len(nodes)))
+            groups[rest[1:]][rest[0], child] += 1
+        tops = [(rest, nodes.setdefault((axis, tuple(sorted(entries.items()))), len(nodes)))
                 for rest, entries in groups.items()]
     tree = list(nodes)  # tree[node] = (axis, entries)
 
@@ -309,7 +391,7 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
     for node in range(len(tree) - 1, 0, -1):
         entries = tree[node][1]
         is_sum[node] = node == len(tree) - 1 or (reads[node] >= 2 and len(entries) >= 2)
-        for _, child in entries:
+        for (_, child), _ in entries:
             reads[child] += 1 if is_sum[node] else reads[node]
 
     # a sum reads an earlier one through the nodes between them, each of
@@ -318,20 +400,25 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
     array_of = {node: j for j, node in enumerate(order)}
     sums, last_read = [], {}
     for node in order[1:]:
-        views, stack = [], [(node, ())]
+        views: Counter = Counter()  # (array, path) -> times
+        stack = [(node, (), 1)]
         while stack:
-            at, path = stack.pop()
+            at, path, times = stack.pop()
             axis, entries = tree[at]
-            for c, child in entries:
-                if not is_sum[child]:
-                    stack.append((child, path + ((axis, c),)))
-                    continue
-                index = [slice(None)] * d
-                for i, s in path + ((axis, c),):
-                    index[i] = slice(reach[i] + s, reach[i] + s + dims[i])
-                views.append((array_of[child], tuple(index)))
-                last_read[array_of[child]] = len(sums) + 1
-        sums.append(tuple(views))
+            for (c, child), m in entries:
+                if is_sum[child]:
+                    view = (array_of[child], path + ((axis, c),))
+                    views[view] += times * m
+                    last_read[array_of[child]] = len(sums) + 1
+                else:
+                    stack.append((child, path + ((axis, c),), times * m))
+        made = []
+        for (j, path), times in views.items():
+            index = [slice(None)] * d
+            for i, s in path:
+                index[i] = slice(reach[i] + s, reach[i] + s + dims[i])
+            made.append((j, tuple(index), times))
+        sums.append(tuple(made))
     drops = [tuple(j for j, last in last_read.items() if last == k) for k in range(1, len(sums) + 1)]
     return reach, tuple(zip(sums, drops))
 

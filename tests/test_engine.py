@@ -89,6 +89,23 @@ def test_make_grid_validates():
         make_grid((2**40, 2**40))
 
 
+def test_make_grid_takes_at_most_64_axes():
+    # numpy's arrays hold at most 64 axes: past that a grid is refused before
+    # it is allocated, even one past the cell cap; up to 64 axes live cells
+    # are set through one flat index, not one index array per axis
+    for dims in ((1,) * 65, (2,) * 70):
+        with pytest.raises(DimensionError, match=f"grid of {len(dims)} axes exceeds numpy's limit of 64"):
+            make_grid(dims)
+    dims = (1,) * 61 + (2, 3, 1)
+    cells = [(0,) * 61 + (1, 2, 0), (0,) * 64]
+    grid = make_grid(dims, Boundary.FIXED_DEAD, cells)
+    assert live_cells(grid) == sorted(cells)
+    offs = enumerate_offsets(von_neumann(64))
+    rule = Rule(frozenset({1}), frozenset({0, 1}))
+    want = life_step_reference(set(cells), dims, rule.birth, rule.survival, offs, toroidal=False)
+    assert set(live_cells(step(grid, rule, offs))) == want
+
+
 @pytest.mark.parametrize(
     "dims, cells",
     [
@@ -426,7 +443,8 @@ def test_padded_copy_past_the_cell_cap_is_capacity_error(monkeypatch):
 # ---------------------------------------------------------------- count plan
 #
 # Every offset list is counted by one plan, which adds each sub-sum that
-# offsets share once; engine._index (2*count + state per cell) is checked
+# offsets share once, and each view that several offsets read (a folded
+# repeat) once, multiplied; engine._index, count + state per cell, is checked
 # count for count against the set-based reference.
 
 
@@ -435,7 +453,7 @@ def _index_dtype(offs):
 
 
 def _assert_index_matches_reference(grid, offs):
-    """engine._index is 2*count + state, the count from the set-based reference."""
+    """engine._index is count + state, the count from the set-based reference."""
     toroidal = grid.boundary is Boundary.TOROIDAL
     counts = neighbour_counts_reference(live_cells(grid), grid.dims, offs, toroidal=toroidal)
     want = np.zeros(grid.dims, dtype=np.int64)
@@ -443,7 +461,7 @@ def _assert_index_matches_reference(grid, offs):
         want[cell] = cnt
     index = engine._index(grid, tuple(map(tuple, offs)))
     assert index.dtype == _index_dtype(offs)
-    assert np.array_equal(index, 2 * want + grid.states)
+    assert np.array_equal(index, want + grid.states)
 
 
 def _assert_step_matches_reference(grid, rule, offs):
@@ -498,6 +516,18 @@ def test_count_plan_adds_shared_sub_sums_once(spec, sums, views):
         reach, plan = engine._count_plan(offs, (64,) * spec.dimension, boundary)
         assert reach == (spec.r,) * spec.dimension
         assert (len(plan), sum(len(made) for made, _ in plan)) == (sums, views)
+
+
+def test_count_plan_adds_each_folded_view_once():
+    # on a 3x2 torus the 33488 offsets of moore(2, 91) and the cell itself
+    # fold onto the 6 cells: one sum of 6 views, each multiplied by the
+    # number of offsets that read it, where one view per offset made 33489
+    offs = tuple(enumerate_offsets(moore(2, 91)))
+    reach, plan = engine._count_plan(offs, (3, 2), Boundary.TOROIDAL)
+    assert reach == (1, 1)
+    assert (len(plan), sum(len(made) for made, _ in plan)) == (1, 6)
+    assert sum(times for made, _ in plan for _, _, times in made) == len(offs) + 1
+    _assert_index_matches_reference(_soup((3, 2), Boundary.TOROIDAL), offs)
 
 
 @st.composite
@@ -647,6 +677,145 @@ def test_step_memory_per_cell(spec, dims, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * grid.states.size
+
+
+# ---------------------------------------------------------------- lookup
+#
+# A cell with key count + (n+1)*state comes out live iff the key is a birth
+# count or n + 1 past a survival count.  Up to engine._MAX_RUNS runs of live
+# keys, step tests the runs; past it, it gathers from a table with np.take.
+# The run test is checked against np.take over the same keys, and step
+# against the set-based reference step, for every rule shape and key width.
+
+
+def _key(grid, offs):
+    """The key count + (n+1)*state per cell, as step makes it."""
+    index = engine._index(grid, tuple(offs))
+    return index + np.multiply(grid.states, len(offs), dtype=index.dtype)
+
+
+def _table(rule, n):
+    """The next state at each key, from the rule's own sets."""
+    table = np.zeros(2 * n + 2, dtype=np.uint8)
+    table[list(rule.birth)] = 1
+    table[[n + 1 + c for c in rule.survival]] = 1
+    return table
+
+
+def _rule_shapes(n):
+    """Rules over counts 0..n, with the number of runs of live keys each makes."""
+
+    def spaced(runs):  # the keys 1, 3, 5, ...: runs of one key each
+        keys = range(1, 2 * runs, 2)
+        return Rule(frozenset(k for k in keys if k <= n), frozenset(k - n - 1 for k in keys if k > n))
+
+    mid, odd = n // 2, frozenset(range(1, n + 1, 2))
+    return {
+        "empty": (Rule(frozenset(), frozenset()), 0),
+        "no-birth": (Rule(frozenset(), frozenset({mid, mid + 1})), 1),
+        "no-survival": (Rule(frozenset({mid}), frozenset()), 1),
+        "all": (Rule(frozenset(range(n + 1)), frozenset(range(n + 1))), 1),
+        "single": (Rule(frozenset({mid}), frozenset({mid})), 2),
+        "edges": (Rule(frozenset({0, n}), frozenset({0, n})), 3),  # n and n + 1 merge
+        "n-then-0": (Rule(frozenset({n}), frozenset({0})), 1),
+        "under": (spaced(engine._MAX_RUNS), engine._MAX_RUNS),
+        "over": (spaced(engine._MAX_RUNS + 1), engine._MAX_RUNS + 1),
+        "parity": (Rule(odd, odd), n),  # B1357/S1357 at n = 8
+    }
+
+
+# 288 offsets on 9x7 and 33488 on 3x2 fold on a torus
+_KEY_WIDTHS = {
+    "uint8": (moore(2), (9, 7), np.uint8),
+    "uint16": (moore(2, 8), (9, 7), np.uint16),
+    "uint32": (moore(2, 91), (3, 2), np.uint32),
+}
+
+
+@pytest.mark.parametrize("width", sorted(_KEY_WIDTHS))
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_run_test_matches_take_and_step_matches_reference(width, boundary):
+    spec, dims, dtype = _KEY_WIDTHS[width]
+    offs = enumerate_offsets(spec)
+    n = len(offs)
+    grid = _soup(dims, boundary)
+    key = _key(grid, offs)
+    assert key.dtype == dtype
+    toroidal = boundary is Boundary.TOROIDAL
+    counts = neighbour_counts_reference(live_cells(grid), dims, offs, toroidal=toroidal)
+    for name, (rule, count_of_runs) in _rule_shapes(n).items():
+        runs = engine._lookup(rule, n)[0]
+        assert len(runs) == count_of_runs, name
+        table = _table(rule, n)
+        # every key there is, then the grid's own
+        for keys in (np.arange(2 * n + 2, dtype=dtype), key.reshape(-1)):
+            got = np.empty(keys.size, dtype=bool)
+            engine._test_runs(keys.copy(), runs, got, np.empty(keys.size, dtype=bool))
+            assert np.array_equal(got, np.take(table, keys).astype(bool)), name
+        want = {cell for cell, c in counts.items() if c in (rule.survival if grid.states[cell] else rule.birth)}
+        assert set(live_cells(step(grid, rule, offs))) == want, name
+
+
+def test_step_tests_runs_up_to_the_crossover_and_gathers_past_it(monkeypatch):
+    # 300^2 cells are two blocks; either way the next states are np.take's
+    runs_tested = []
+    test_runs = engine._test_runs
+    monkeypatch.setattr(
+        engine, "_test_runs", lambda key, runs, *rest: runs_tested.append(len(runs)) or test_runs(key, runs, *rest)
+    )
+    grid = _soup((300, 300), Boundary.TOROIDAL)
+    key = _key(grid, MOORE2)
+    shapes = _rule_shapes(len(MOORE2))
+    for name, tested in [("under", [engine._MAX_RUNS] * 2), ("over", []), ("parity", [])]:
+        rule = shapes[name][0]
+        runs_tested.clear()
+        assert np.array_equal(step(grid, rule, MOORE2).states, np.take(_table(rule, len(MOORE2)), key))
+        assert runs_tested == tested, name
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_step_reads_grids_of_any_memory_layout(boundary):
+    # a Grid may hold a Fortran-ordered or strided states array, as a caller
+    # builds it: every layout steps to the C-ordered grid's next state, over
+    # more than one block and for a rule on either side of the crossover
+    shapes = _rule_shapes(len(MOORE2))
+    for dims, offs, rules in [
+        ((300, 300), MOORE2, [LIFE, shapes["over"][0]]),
+        ((7, 6, 5), enumerate_offsets(moore(3)), [Rule(frozenset({4, 5}), frozenset({5, 6, 7}))]),
+    ]:
+        grid = _soup(dims, boundary)
+        strided = np.zeros(tuple(2 * n for n in dims), dtype=np.uint8)
+        strided[tuple(slice(None, None, 2) for _ in dims)] = grid.states
+        layouts = [np.asfortranarray(grid.states), strided[tuple(slice(None, None, 2) for _ in dims)]]
+        for rule in rules:
+            want = step(grid, rule, offs)
+            if dims == (7, 6, 5):
+                live = set(live_cells(grid))
+                toroidal = boundary is Boundary.TOROIDAL
+                assert set(live_cells(want)) == life_step_reference(
+                    live, dims, rule.birth, rule.survival, offs, toroidal=toroidal
+                )
+            for states in layouts:
+                assert np.array_equal(step(engine.Grid(dims, states, boundary), rule, offs).states, want.states)
+                assert np.array_equal(states, grid.states)  # the caller's array is not written
+
+
+@pytest.mark.parametrize(
+    "spec, birth, survival",
+    [
+        (moore(2), {3}, {2, 3}),
+        (moore(2, 5), range(34, 46), range(33, 58)),
+        (k_radius(5, 3, 1), range(33, 46), range(30, 61)),
+        (diamond(2, 5), range(17, 23), range(16, 29)),
+    ],
+    ids=["life", "bosco", "k3", "diamond5"],
+)
+def test_benchmark_rules_are_two_runs(spec, birth, survival):
+    # the rules of the benchmark's five cases: a span of birth counts and one
+    # of survival counts, two runs of keys, which step tests
+    rule = Rule(frozenset(birth), frozenset(survival))
+    runs, table = engine._lookup(rule, count(spec))
+    assert len(runs) == 2 and table is None
 
 
 # ---------------------------------------------------------------- text formats

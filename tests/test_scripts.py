@@ -19,3 +19,23 @@ def test_life_demo_runs(capsys):
 def test_neighborhood_gallery_runs(capsys):
     runpy.run_path(str(SCRIPTS / "neighborhood_gallery.py"), run_name="__main__")
     assert "diamond, radius 3  (24 cells)" in capsys.readouterr().out
+
+
+def test_bench_pairs_summary():
+    # four good pairs and one whose change run failed, which is left out
+    summarise = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["summarise"]
+    pairs = [
+        {"parent": {"ok": True, "metrics": {"t": p}}, "change": {"ok": True, "metrics": {"t": c}}}
+        for p, c in [(10.0, 8.0), (11.0, 8.5), (12.0, 9.0), (10.5, 11.0)]
+    ]
+    pairs.append({"parent": {"ok": True, "metrics": {"t": 1.0}}, "change": {"ok": False}})
+    lower = summarise(pairs, {"t": "lower"})["t"]
+    assert lower["pairs"] == 4
+    assert lower["parent"] == {"q1": 10.375, "median": 10.75, "q3": 11.25}
+    assert lower["change"] == {"q1": 8.375, "median": 8.75, "q3": 9.5}
+    assert (lower["change_won"], lower["change_lost"]) == (3, 1)
+    assert (lower["median_gain"], lower["parent_iqr"]) == (2.0, 0.875)
+    assert lower["gain_shown"] is False  # 3 of 4 pairs won, under nine tenths
+    higher = summarise(pairs[:3], {"t": "higher"})["t"]
+    assert (higher["change_won"], higher["change_lost"], higher["gain_shown"]) == (0, 3, False)
+    assert summarise(pairs[:3], {"t": "lower"})["t"]["gain_shown"] is True
