@@ -225,6 +225,27 @@ def test_sequence_past_the_term_cap_is_one_error_line(capsys, terms):
     assert "Traceback" not in err
 
 
+PINNED_SEQUENCES = [
+    *(f"--id {seq_id.value} --terms {terms}" for seq_id in SequenceId for terms in (1, 64, 2000)),
+    "--id A024023 --terms 9100",  # its last terms pass str(int)'s 4300 digits
+]
+
+
+def test_sequence_output_matches_golden_hashes(capsysbinary):
+    # sha256 of the stdout of each pinned run, plain and as a b-file, recorded
+    # when plain output still went through one print per term
+    path = Path(__file__).parent / "fixtures" / "sequence_sha256.json"
+    golden = json.loads(path.read_text())
+    assert list(golden) == [f"{args}{bfile}" for args in PINNED_SEQUENCES for bfile in ("", " --bfile")]
+    got = {}
+    for args in golden:
+        assert main(["sequence", *args.split()]) == 0
+        out, err = capsysbinary.readouterr()
+        assert err == b""
+        got[args] = hashlib.sha256(out).hexdigest()
+    assert got == golden
+
+
 # ---------------------------------------------------------------- verify
 
 
