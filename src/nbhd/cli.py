@@ -99,13 +99,11 @@ def _cmd_sequence(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if args.terms < 1:
         parser.error("--terms must be >= 1")
     seq_id = sequences.SequenceId(args.id)
-    if args.bfile:
-        sys.stdout.flush()
+    sys.stdout.flush()
+    if args.bfile:  # through emit_bfile: perfbench/tracing.py wraps it as (seq_id, terms, sink)
         sequences.emit_bfile(seq_id, args.terms, sys.stdout.buffer)
-        sys.stdout.buffer.flush()
     else:
-        for entry in sequences.generate(seq_id, args.terms):
-            print(sequences.format_term(entry.value))
+        sequences._write_terms(seq_id, args.terms, sys.stdout.buffer, bfile=False)
     return 0
 
 

@@ -62,6 +62,10 @@ class Grid:
     states: np.ndarray  # uint8 array of shape dims; 0 dead, 1 live
     boundary: Boundary = Boundary.TOROIDAL
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.boundary, Boundary):
+            raise DomainError(f"boundary must be a Boundary, got {self.boundary!r}")
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
@@ -141,11 +145,11 @@ def make_grid(
 
     ``live_cells`` is an (n, d) integer array, as load_pattern returns, or
     any iterable of coordinate sequences; zero rows mean no live cells,
-    whatever their width and dtype.  A dim or coordinate that is not an
-    integer raises DomainError.  More than 64 dims (numpy's limit), or a
-    cell with other than ``len(dims)`` components, raises DimensionError; the
-    first cell outside the grid (a coordinate outside int64 included) raises
-    BoundsError.
+    whatever their width and dtype.  A non-integer dim or coordinate, or a
+    boundary that is not a Boundary, raises DomainError.  More than 64 dims
+    (numpy's limit), or a cell with other than ``len(dims)`` components,
+    raises DimensionError; the first cell outside the grid (a coordinate
+    outside int64 included) raises BoundsError.
     """
     dims = tuple(_as_int(n, "grid dim") for n in dims)
     if not dims or any(n < 1 for n in dims):

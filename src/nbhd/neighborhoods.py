@@ -46,16 +46,25 @@ _BOX_CHUNK = 2**16  # box points decoded at once: a (points, d) int64 array
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # an integer field of offset, pattern and b-file text
 
 
+def format_term(value: int) -> str:
+    """Decimal digits of ``value``, exact at any size: str(int), or Decimal where
+    str refuses a value past the interpreter's digit limit (4300 by default,
+    down to 640 by PYTHONINTMAXSTRDIGITS).  Every int the package writes does."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(decimal.Decimal(value))
+
+
 def _exact(value) -> str:
-    """An int, or a tuple of ints, as str writes it, but exact at any size:
-    each int goes through Decimal, since str(int) stops at the interpreter's
-    4300-digit limit.  Any other value is its repr.  Error messages write
+    """An int, or a tuple of ints, as str writes it, but exact at any size,
+    through format_term.  Any other value is its repr.  Error messages write
     their values through it."""
     if isinstance(value, tuple):
         parts = [_exact(v) for v in value]
         return f"({', '.join(parts)}{',' * (len(parts) == 1)})"
     try:
-        return str(decimal.Decimal(operator.index(value)))
+        return format_term(operator.index(value))
     except TypeError:
         return repr(value)
 
@@ -300,10 +309,8 @@ def brute_force_count(spec: NeighborhoodSpec) -> int:
 
 
 def format_offset(offset: Sequence[int]) -> str:
-    """``offset`` as "c1,...,cd", exact at any size: each component goes
-    through Decimal, as sequences.format_term does, since str(int) stops at
-    the interpreter's 4300-digit limit."""
-    return ",".join(str(decimal.Decimal(operator.index(c))) for c in offset)
+    """``offset`` as "c1,...,cd", exact at any size through format_term."""
+    return ",".join(format_term(operator.index(c)) for c in offset)
 
 
 def parse_offset(text: str) -> Offset:

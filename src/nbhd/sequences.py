@@ -4,6 +4,9 @@ Layouts and index offsets follow the vendored reference b-files under
 tests/fixtures (see the README there for each sequence's linearization).
 b-file format: one "n a(n)" pair per line, single space, newline-terminated,
 no header.
+
+Every reader of a sequence takes its terms from one checked stream, _terms,
+and plain and b-file output both go through one writer, _write_terms.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import operator
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, DomainError, ParseError
-from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact
+from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact, format_term
+
+_LINES_PER_WRITE = 4096  # lines of sequence output joined into one write
 
 
 class SequenceId(enum.Enum):
@@ -88,32 +93,41 @@ def _lookup(seq_id: SequenceId) -> tuple[int, Callable[[], Iterator[int]]]:
         raise DomainError(f"unknown sequence id {seq_id!r}") from None
 
 
-def generate(seq_id: SequenceId, terms: int) -> list[SequenceEntry]:
-    """The first ``terms`` entries of the sequence, indices starting at the
-    sequence's declared offset; at most DEFAULT_TERM_CAP (2**16) terms."""
+def _terms(seq_id: SequenceId, terms: int) -> tuple[int, Iterator[int]]:
+    """The index of the first term, and an iterator of the first ``terms``
+    terms; the count is checked before any term is made."""
     terms = _as_int(terms, "terms")
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {_exact(terms)}")
     if terms > DEFAULT_TERM_CAP:
         raise CapacityError(f"{_exact(terms)} terms would exceed the cap of {DEFAULT_TERM_CAP}")
     offset, values = _lookup(seq_id)
-    return [SequenceEntry(offset + i, v) for i, v in enumerate(itertools.islice(values(), terms))]
+    return offset, itertools.islice(values(), terms)
 
 
-def format_term(value: int) -> str:
-    """Decimal digits of ``value``, exact at any size.
+def generate(seq_id: SequenceId, terms: int) -> list[SequenceEntry]:
+    """The first ``terms`` entries of the sequence, indices starting at the
+    sequence's declared offset; at most DEFAULT_TERM_CAP (2**16) terms."""
+    offset, values = _terms(seq_id, terms)
+    return list(map(SequenceEntry, itertools.count(offset), values))
 
-    Goes through decimal.Decimal because str(int) refuses values above the
-    interpreter's int-to-str digit limit (4300 digits by default), which
-    A024023 passes near term 9015.
-    """
-    return str(decimal.Decimal(value))
+
+def _write_terms(seq_id: SequenceId, terms: int, sink: IO[bytes], bfile: bool) -> None:
+    """Write the first ``terms`` terms to ``sink``, one line each: "n a(n)" in a
+    b-file, the term alone otherwise.  A write per _LINES_PER_WRITE lines, never
+    one string: A024023 at the term cap holds about 10**9 digits."""
+    offset, values = _terms(seq_id, terms)
+    lines = map(format_term, values)
+    if bfile:
+        lines = map(" ".join, zip(map(format_term, itertools.count(offset)), lines))
+    while block := list(itertools.islice(lines, _LINES_PER_WRITE)):
+        block.append("")  # the newline that ends the block's last line
+        sink.write("\n".join(block).encode("ascii"))
 
 
 def emit_bfile(seq_id: SequenceId, terms: int, sink: IO[bytes]) -> None:
     """Write the sequence to ``sink`` in OEIS b-file format."""
-    for index, value in generate(seq_id, terms):
-        sink.write(f"{index} {format_term(value)}\n".encode("ascii"))
+    _write_terms(seq_id, terms, sink, bfile=True)
 
 
 def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
@@ -151,13 +165,13 @@ def diff_against_reference(
     reference covers and this package generates); empty means full agreement.
     """
     ref_entries = parse_bfile(reference)
-    if not ref_entries:
-        return []
     offset, _ = _lookup(seq_id)
-    last = max(e.index for e in ref_entries)
+    last = max((e.index for e in ref_entries), default=offset - 1)
     if last < offset:
         return []
-    ours = {e.index: e.value for e in generate(seq_id, last - offset + 1)}
+    # no term past the cap is generated, so none is compared
+    offset, values = _terms(seq_id, min(last - offset + 1, DEFAULT_TERM_CAP))
+    ours = dict(zip(itertools.count(offset), values))
     return [
         Mismatch(e.index, expected=e.value, actual=ours[e.index])
         for e in ref_entries

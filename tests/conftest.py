@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -49,3 +50,13 @@ def path_oracle():
 @pytest.fixture
 def step_oracle():
     return life_step_reference
+
+
+@pytest.fixture
+def int_str_limit_640():
+    """str(int) refuses past 640 digits, the least limit Python allows, as
+    PYTHONINTMAXSTRDIGITS=640 would set it; restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(saved)

@@ -246,6 +246,31 @@ def test_sequence_output_matches_golden_hashes(capsysbinary):
     assert got == golden
 
 
+@pytest.mark.parametrize("bfile", [[], ["--bfile"]])
+def test_sequence_output_is_exact_under_the_least_int_to_str_limit(capsysbinary, request, bfile):
+    # A024023's terms pass 640 digits from term 1342 on
+    argv = ["sequence", "--id", "A024023", "--terms", "1500", *bfile]
+    assert main(argv) == 0
+    want = capsysbinary.readouterr()
+    request.getfixturevalue("int_str_limit_640")
+    assert main(argv) == 0
+    assert capsysbinary.readouterr() == want
+
+
+@pytest.mark.parametrize("bfile, first", [([], b"0\n"), (["--bfile"], b"0 0\n")])
+def test_sequence_stops_quietly_on_a_closed_pipe(bfile, first):
+    # the reader takes the first of about 6 MB of lines and closes the pipe
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nbhd.__file__))}
+    with subprocess.Popen(
+        [sys.executable, "-m", "nbhd", "sequence", "--id", "A024023", "--terms", "5000", *bfile],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
 # ---------------------------------------------------------------- verify
 
 

@@ -89,6 +89,16 @@ def test_make_grid_validates():
         make_grid((2**40, 2**40))
 
 
+def test_grid_boundary_must_be_a_boundary():
+    # a blinker on the top edge keeps 3 cells on a torus; stepped as fixed-dead it has 2
+    with pytest.raises(DomainError, match="boundary must be a Boundary, got 'toroidal'"):
+        make_grid((5, 5), "toroidal", [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(DomainError, match="boundary must be a Boundary, got None"):
+        engine.Grid((2, 2), np.zeros((2, 2), np.uint8), None)
+    grid = make_grid((5, 5), Boundary.TOROIDAL, [(0, 1), (0, 2), (0, 3)])
+    assert engine.population(step(grid, LIFE, enumerate_offsets(moore(2)))) == 3
+
+
 def test_make_grid_takes_at_most_64_axes():
     # numpy's arrays hold at most 64 axes: past that a grid is refused before
     # it is allocated, even one past the cell cap; up to 64 axes live cells

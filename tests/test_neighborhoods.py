@@ -27,6 +27,7 @@ from nbhd import (
     parse_offset,
     von_neumann,
 )
+from nbhd.neighborhoods import _exact, format_term
 
 
 # ---------------------------------------------------------------- spec validation
@@ -333,6 +334,20 @@ def test_offset_text_round_trip_is_exact_past_the_int_to_str_limit():
         assert parse_offset(format_offset(off)) == off
     assert format_offset(offs[1]) == "1" + "0" * 5000
     assert format_offset(offset_array(spec)[0]) == "-1" + "0" * 5000
+
+
+def test_int_text_is_exact_under_the_least_int_to_str_limit(int_str_limit_640):
+    big = 10**700
+    with pytest.raises(ValueError):
+        str(big)
+    assert format_term(big) == "1" + "0" * 700
+    assert format_term(-big) == "-1" + "0" * 700
+    assert format_term(12) == "12"
+    assert format_offset((big, -3, 0)) == f"1{'0' * 700},-3,0"
+    assert _exact((big, 2)) == f"(1{'0' * 700}, 2)"
+    with pytest.raises(DomainError) as exc:
+        NeighborhoodSpec(1, r=-big)
+    assert str(exc.value) == f"r must be >= 1, got -1{'0' * 700}"
 
 
 def test_format_offset_takes_numpy_ints():

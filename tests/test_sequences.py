@@ -127,6 +127,15 @@ def test_self_diff_is_empty():
     assert diff_against_reference(SequenceId.A005843, io.BytesIO(buf.getvalue())) == []
 
 
+def test_diff_compares_up_to_the_term_cap():
+    # a reference may run past the 65536 terms generated; the overlap is compared
+    assert diff_against_reference(SequenceId.A005843, ["5 10", "70000 140000"]) == []
+    # indices 0..65535: the last one is compared, the one past it is not
+    assert diff_against_reference(SequenceId.A005843, ["5 11", "65535 0", "65536 0"]) == [
+        (5, 11, 10), (65535, 0, 131070)
+    ]
+
+
 def test_injected_fault_is_reported():
     buf = io.BytesIO()
     emit_bfile(SequenceId.A008288, 10, buf)
