@@ -58,6 +58,35 @@ def test_count_past_the_int_to_str_limit(capsys):
     assert (code, out, err) == (0, format_term(3**10000 - 1) + "\n", "")
 
 
+def _flags(spec):
+    kind = ["--diamond"] if spec.family is Family.DIAMOND else ["--k", str(spec.k)]
+    sharp = ["--sharp-k"] * spec.sharp_k + ["--sharp-r"] * spec.sharp_r
+    return " ".join(["--d", str(spec.dimension), *kind, "--r", str(spec.r), *sharp])
+
+
+PINNED_COUNTS = [
+    "--d 9100 --k 9100",  # 3^9100 - 1, 4342 digits
+    "--d 9100 --k 9100 --r 2 --sharp-r",  # 5^9100 - 3^9100, 6361 digits
+    "--d 30 --k 1 --r 2 --sharp-k",
+    "--d 99999999999999999999 --k 1",
+]
+
+
+def test_count_output_matches_golden_hashes(capsysbinary):
+    # sha256 of the stdout of the catalog's 280 specs (d <= 5, r <= 4) and of
+    # the runs above, recorded while count stepped its own sums
+    path = Path(__file__).parent / "fixtures" / "count_sha256.json"
+    golden = json.loads(path.read_text())
+    assert list(golden) == [_flags(spec) for spec in iter_specs(5, 5, 4)] + PINNED_COUNTS
+    got = {}
+    for flags in golden:
+        assert main(["count", *flags.split()]) == 0
+        out, err = capsysbinary.readouterr()
+        assert err == b""
+        got[flags] = hashlib.sha256(out).hexdigest()
+    assert got == golden
+
+
 # ---------------------------------------------------------------- enumerate
 
 
@@ -113,12 +142,6 @@ def test_enumerate_writes_one_formatted_offset_per_line(capsys, spec, flags):
         assert len(offsets) > cli._ROWS_PER_WRITE
     code, out, err = run_cli(capsys, "enumerate", *flags)
     assert (code, out, err) == (0, "".join(format_offset(o) + "\n" for o in offsets), "")
-
-
-def _flags(spec):
-    kind = ["--diamond"] if spec.family is Family.DIAMOND else ["--k", str(spec.k)]
-    sharp = ["--sharp-k"] * spec.sharp_k + ["--sharp-r"] * spec.sharp_r
-    return " ".join(["--d", str(spec.dimension), *kind, "--r", str(spec.r), *sharp])
 
 
 def test_enumerate_output_matches_golden_hashes(capsysbinary):
@@ -280,6 +303,20 @@ def test_verify_small_ranges(capsys):
     assert "all checks passed" in out
     assert "FAIL" not in out
     assert err == ""
+
+
+def test_verify_output_matches_golden_hashes(capsysbinary):
+    # sha256 of verify's stdout at the defaults and over the catalog's range
+    path = Path(__file__).parent / "fixtures" / "verify_sha256.json"
+    golden = json.loads(path.read_text())
+    assert list(golden) == ["", "--max-d 5 --max-r 3"]
+    got = {}
+    for flags in golden:
+        assert main(["verify", *flags.split()]) == 0
+        out, err = capsysbinary.readouterr()
+        assert err == b""
+        got[flags] = hashlib.sha256(out).hexdigest()
+    assert got == golden
 
 
 @pytest.mark.parametrize(
