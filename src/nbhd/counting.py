@@ -9,7 +9,9 @@ k_radius, moore or diamond builds, so their ranges are the spec's (d >= 1,
 take 0.  Formula/recurrence pairs are intentionally redundant: each pair is
 cross-checked in the test suite, and everything is checked against the
 brute-force box scan in the neighborhoods module.  Recurrences fill dense
-per-call tables iteratively; there is no shared mutable state.
+per-call tables iteratively; there is no shared mutable state.  One stepper,
+_k_terms, makes the paper's k-radius terms C(d, j) * (2r)^j for count,
+k_count, k_radius_count and the rows of A013609 and A265014.
 """
 
 from __future__ import annotations
@@ -47,15 +49,19 @@ def sharp_k_count_rec(d: int, k: int) -> int:
     return row[k]
 
 
+def _k_terms(d: int, r: int, k: int) -> list[int]:
+    """[C(d, j) * (2r)^j for j = 0..k], each term stepped from the one before:
+    the offsets with exactly j nonzero components, each in [-r, r]."""
+    terms = [1]
+    for j in range(1, k + 1):
+        terms.append(terms[-1] * 2 * r * (d - j + 1) // j)
+    return terms
+
+
 def k_count(d: int, k: int) -> int:
     """Offsets with 1..k nonzero components, each -1 or 1: sum of 2^j * C(d, j)."""
     d, k = (spec := k_radius(d, k)).dimension, spec.k
-    # 2^j * C(d, j), stepped from j - 1 to j
-    total, term = 0, 1
-    for j in range(1, k + 1):
-        term = term * 2 * (d - j + 1) // j
-        total += term
-    return total
+    return sum(_k_terms(d, 1, k)) - 1  # less the j = 0 term, the center
 
 
 def k_count_rec(d: int, k: int) -> int:
@@ -160,12 +166,7 @@ def k_radius_count(d: int, k: int, r: int) -> int:
     would count it and give a value exactly one larger.
     """
     d, k, r = (spec := k_radius(d, k, r)).dimension, spec.k, spec.r
-    # C(d, j) * (2r)^j, stepped from j - 1 to j
-    total, term = 0, 1
-    for j in range(1, k + 1):
-        term = term * 2 * r * (d - j + 1) // j
-        total += term
-    return total
+    return sum(_k_terms(d, r, k)) - 1
 
 
 # Read only by perfbench/tracing.py; count() has no box-scan route any more.
@@ -190,11 +191,7 @@ def count(spec: NeighborhoodSpec) -> int:
         raise CapacityError(f"count of up to {_exact(bits)} bits would exceed the cap of {DEFAULT_COUNT_BITS}")
     if is_diamond:
         return diamond_sharp_count(d, r) if spec.sharp_r else diamond_count(d, r)
-    # C(d, j) * (2r)^j and C(d, j) * (s * (2r-2))^j, stepped from j - 1 to j
-    inner = 2 * r - 2 if spec.sharp_r else 0
-    total, outer_term, inner_term = 0, 1, 1
-    for j in range(1, spec.k + 1):
-        outer_term = outer_term * 2 * r * (d - j + 1) // j
-        inner_term = inner_term * inner * (d - j + 1) // j
-        total += outer_term - inner_term
-    return outer_term - inner_term if spec.sharp_k else total
+    terms = _k_terms(d, r, spec.k)
+    if spec.sharp_r:  # less the members inside r - 1, as 2r - 2 = 2(r - 1)
+        terms = [a - b for a, b in zip(terms, _k_terms(d, r - 1, spec.k))]
+    return terms[-1] if spec.sharp_k else sum(terms[1:])

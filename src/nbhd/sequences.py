@@ -6,7 +6,8 @@ b-file format: one "n a(n)" pair per line, single space, newline-terminated,
 no header.
 
 Every reader of a sequence takes its terms from one checked stream, _terms,
-and plain and b-file output both go through one writer, _write_terms.
+and plain and b-file output both go through one writer, _write_terms.  The
+rows of A013609 and A265014 come from counting's _k_terms, as count's do.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 import operator
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
+from .counting import _k_terms
 from .errors import CapacityError, DomainError, ParseError
 from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact, format_term
 
@@ -43,21 +45,6 @@ class Mismatch(NamedTuple):
     actual: int  # value this package generates
 
 
-def _sharp_k_rows() -> Iterator[list[int]]:
-    # row d lists 2^k * C(d,k) for k = 0..d, each stepped from the one before
-    for d in itertools.count():
-        row = [1]
-        for k in range(1, d + 1):
-            row.append(row[-1] * 2 * (d - k + 1) // k)
-        yield row
-
-
-def _k_triangle() -> Iterator[int]:
-    # row d lists the k-neighborhood sizes for k = 1..d: running sums of A013609's row d
-    for row in itertools.islice(_sharp_k_rows(), 1, None):
-        yield from itertools.accumulate(row[1:])
-
-
 def _delannoy_antidiagonals() -> Iterator[list[int]]:
     # antidiagonal s of the Delannoy square lists D(i, s - i) for i = 0..s;
     # D(i, j) = D(i-1, j) + D(i-1, j-1) + D(i, j-1) reads the two antidiagonals
@@ -75,8 +62,12 @@ _SEQUENCES: dict[SequenceId, tuple[int, Callable[[], Iterator[int]]]] = {
     SequenceId.A005843: (0, lambda: (2 * n for n in itertools.count())),
     SequenceId.A024023: (0, lambda: (  # 3^n stepped as 3 * 3^(n-1)
         p - 1 for p in itertools.accumulate(itertools.repeat(3), operator.mul, initial=1))),
-    SequenceId.A013609: (0, lambda: itertools.chain.from_iterable(_sharp_k_rows())),
-    SequenceId.A265014: (1, _k_triangle),
+    # row d lists 2^k * C(d, k) for k = 0..d
+    SequenceId.A013609: (0, lambda: itertools.chain.from_iterable(
+        _k_terms(d, 1, d) for d in itertools.count())),
+    # row d lists the k-neighborhood sizes for k = 1..d: running sums of A013609's row d
+    SequenceId.A265014: (1, lambda: itertools.chain.from_iterable(
+        itertools.accumulate(_k_terms(d, 1, d)[1:]) for d in itertools.count(1))),
     # square array T(d, r) = D(d, r) - D(d, r-1), both indexed from 1, read by
     # antidiagonals with the dimension increasing inside each antidiagonal
     SequenceId.A266213: (1, lambda: (

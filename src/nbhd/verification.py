@@ -132,8 +132,8 @@ def check_specializations(max_d: int, max_r: int) -> CheckResult:
             )
         for k in range(1, d + 1):
             result.record(
-                counting.k_radius_count(d, k, 1) == counting.k_count(d, k),
-                f"k_radius_count({d},{k},1) != k_count",
+                counting.k_radius_count(d, k, 1) == counting.k_count_rec(d, k),
+                f"k_radius_count({d},{k},1) != k_count_rec",
             )
         result.record(
             counting.diamond_sharp_count(d, 1) == 2 * d,

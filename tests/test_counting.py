@@ -218,7 +218,8 @@ def test_k_radius_specializations(d, r):
 @given(dk_pairs)
 def test_k_radius_at_radius_one_is_k_count(dk):
     d, k = dk
-    assert k_radius_count(d, k, 1) == k_count(d, k)
+    # against the recurrence: k_count and k_radius_count step the same terms
+    assert k_radius_count(d, k, 1) == k_count_rec(d, k)
 
 
 def test_counts_are_exact_big_integers():
