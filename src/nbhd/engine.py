@@ -48,7 +48,9 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
-from .neighborhoods import _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _exact, _offset_lines
+from .neighborhoods import (
+    _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _exact, _offset_lines, _text_line, format_term,
+)
 
 
 class Boundary(enum.Enum):
@@ -85,7 +87,11 @@ class Rule:
 
     def __post_init__(self) -> None:
         for name in ("birth", "survival"):
-            counts = frozenset(_as_int(n, "rule count") for n in getattr(self, name))
+            counts = getattr(self, name)
+            try:
+                counts = frozenset(_as_int(n, "rule count") for n in counts)
+            except TypeError:  # a bare number, not a collection of counts
+                raise DomainError(f"rule {name} must be a set of counts, got {_exact(counts)}") from None
             object.__setattr__(self, name, counts)
         for n in self.birth | self.survival:
             if n < 0:
@@ -106,6 +112,8 @@ def parse_rule(text: str) -> Rule:
     counts above 9 for large neighborhoods.  Such a part may end in one comma,
     so a lone count above 9 is written 'B12,/S'.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"rule must be text, got {type(text).__name__}")
     match = re.fullmatch(r"[Bb]([0-9,]*)/[Ss]([0-9,]*)", text.strip())
     if match is None:
         raise ParseError(f"rule must look like B3/S23, got {text!r}")
@@ -127,8 +135,8 @@ def format_rule(rule: Rule) -> str:
     def part(counts: frozenset[int]) -> str:
         ordered = sorted(counts)
         if all(c <= 9 for c in ordered):
-            return "".join(str(c) for c in ordered)
-        return ",".join(str(c) for c in ordered) + "," * (len(ordered) == 1)
+            return "".join(map(format_term, ordered))
+        return ",".join(map(format_term, ordered)) + "," * (len(ordered) == 1)
 
     return f"B{part(rule.birth)}/S{part(rule.survival)}"
 
@@ -218,14 +226,18 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     rule.birth, or live with a count in rule.survival.  Neighbor lookups wrap
     on a toroidal grid and read 0 outside a fixed-dead one.  Every offset
     component goes through operator.index, so numpy integers are read as
-    Python ints and a non-integer raises DomainError.  An (n, d) array, as
+    Python ints and a non-integer raises DomainError; a bare number in place
+    of an offset raises DimensionError.  An (n, d) array, as
     offset_array returns, is taken as its rows.  A padded copy of more than
     DEFAULT_CELL_CAP cells raises CapacityError before it is made.
     """
     if isinstance(offsets, np.ndarray):
         offsets = offsets.tolist()
     # as ints before the plan's cache key is made: 1.0 == 1 and hashes alike
-    offsets = tuple(tuple(_as_int(c, "offset component") for c in off) for off in offsets)
+    try:
+        offsets = tuple(tuple(_as_int(c, "offset component") for c in off) for off in offsets)
+    except TypeError:  # a bare number, not a coordinate sequence
+        raise DimensionError("offsets must be coordinate sequences") from None
     d = len(grid.dims)
     for off in offsets:
         if len(off) != d:
@@ -453,16 +465,17 @@ def run(
 # Pattern files and snapshots
 
 
-def load_pattern(source: str | Path | Iterable[str]) -> np.ndarray:
+def load_pattern(source: str | Path | Iterable[str | bytes]) -> np.ndarray:
     """Live-cell coordinates from a pattern file, as an (n, d) int64 array.
 
-    ``source`` is a path or the file's lines, with no line break but at
-    their end.  Each line holds one cell as
-    comma-separated integers, each field ``[+-]?[0-9]+`` after stripping
-    whitespace and inside the int64 range.  '#' starts a comment anywhere on
-    a line and blank lines are ignored, so a file without cells gives zero
-    rows.  A bad field, a value outside int64, or a component count other
-    than the first cell's raises ParseError naming the line.
+    ``source`` is a path or the file's lines (str, or ASCII bytes), with no
+    line break but at their end; anything else raises ParseError.  Each line
+    holds one cell as comma-separated integers, each field ``[+-]?[0-9]+``
+    after stripping whitespace and inside the int64 range.  '#' starts a
+    comment anywhere on a line and blank lines are ignored, so a file without
+    cells gives zero rows.  A bad field, a value outside int64, a component
+    count other than the first cell's, or a line that is not text raises
+    ParseError naming the line.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -470,15 +483,20 @@ def load_pattern(source: str | Path | Iterable[str]) -> np.ndarray:
                 return _parse_pattern(handle)
         except UnicodeDecodeError:
             raise ParseError(f"{source}: pattern file is not ASCII text") from None
-    return _parse_pattern(list(source))
+    try:
+        lines = list(source)
+    except TypeError:
+        raise ParseError(f"pattern must be a path or lines of text, got {type(source).__name__}") from None
+    return _parse_pattern(lines)
 
 
-def _parse_pattern(lines: IO[str] | list[str]) -> np.ndarray:
+def _parse_pattern(lines: IO[str] | list[str | bytes]) -> np.ndarray:
     try:
         return _loadtxt(lines)
-    except ValueError:
+    except (ValueError, TypeError):  # TypeError: a caller's line that is not text
         pass
     if isinstance(lines, list):
+        lines = [_text_line(line, lineno) for lineno, line in enumerate(lines, start=1)]
         text = "\n".join(lines)
     else:
         lines.seek(0)

@@ -89,7 +89,8 @@ class NeighborhoodSpec:
 
     ``sharp_k`` restricts to exactly ``k`` nonzero components (k-radius family
     only); ``sharp_r`` restricts to the shell at distance exactly ``r`` instead
-    of the filled set at distance up to ``r``.
+    of the filled set at distance up to ``r``.  Both flags must be bools; a
+    numpy bool is stored as the Python bool it holds.
     """
 
     dimension: int
@@ -102,6 +103,10 @@ class NeighborhoodSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             raise DomainError(f"family must be a Family, got {self.family!r}")
+        for name in ("sharp_k", "sharp_r"):
+            if not isinstance(flag := getattr(self, name), (bool, np.bool_)):
+                raise DomainError(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         for name in ("dimension", "r") if self.k is None else ("dimension", "k", "r"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.dimension < 1:
@@ -151,8 +156,14 @@ def narrow_von_neumann(dimension: int, r: int) -> NeighborhoodSpec:
 def contains(spec: NeighborhoodSpec, delta: Sequence[int]) -> bool:
     """Whether the offset ``delta`` belongs to the neighborhood ``spec``.
 
-    The all-zero offset (the center cell) is never a member.
+    The all-zero offset (the center cell) is never a member.  Components are
+    read as ``step`` reads them: a numpy integer is the int it holds, and a
+    non-integer raises DomainError.
     """
+    try:
+        delta = [_as_int(c, "offset component") for c in delta]
+    except TypeError:  # a bare number
+        raise DimensionError(f"offset {_exact(delta)} is not a coordinate sequence") from None
     if len(delta) != spec.dimension:
         raise DimensionError(
             f"offset has {len(delta)} components, spec dimension is {_exact(spec.dimension)}"
@@ -310,17 +321,32 @@ def brute_force_count(spec: NeighborhoodSpec) -> int:
 
 def format_offset(offset: Sequence[int]) -> str:
     """``offset`` as "c1,...,cd", exact at any size through format_term."""
-    return ",".join(format_term(operator.index(c)) for c in offset)
+    return ",".join(format_term(_as_int(c, "offset component")) for c in offset)
 
 
 def parse_offset(text: str) -> Offset:
     """The inverse of ``format_offset``: each comma-separated field is
     ``[+-]?[0-9]+`` after stripping whitespace, as in pattern files and
-    b-files; anything else raises ParseError."""
+    b-files; anything else, text or not, raises ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f"offset must be text, got {type(text).__name__}")
     fields = [f.strip() for f in text.split(",")]
     if not all(_INTEGER.fullmatch(f) for f in fields):
         raise ParseError(f"not a comma-separated integer tuple: {text!r}")
     return tuple(int(decimal.Decimal(f)) for f in fields)
+
+
+def _text_line(raw, lineno: int) -> str:
+    """A line of a caller's text, str or ASCII bytes, as str; ParseError
+    naming the line for anything else."""
+    if isinstance(raw, str):
+        return raw
+    if not isinstance(raw, bytes):
+        raise ParseError(f"line {lineno}: {type(raw).__name__}, not a line of text")
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise ParseError(f"line {lineno}: not ASCII text: {raw!r}") from None
 
 
 def _offset_lines(rows: np.ndarray) -> bytes:

@@ -20,9 +20,11 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .counting import _k_terms
 from .errors import CapacityError, DomainError, ParseError
-from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact, format_term
+from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact, _text_line, format_term
 
-_LINES_PER_WRITE = 4096  # lines of sequence output joined into one write
+# text of sequence output joined into one write: a closed pipe shows at the
+# next write, so this bounds what is formatted after the reader has gone
+_CHARS_PER_WRITE = 2**20
 
 
 class SequenceId(enum.Enum):
@@ -105,15 +107,27 @@ def generate(seq_id: SequenceId, terms: int) -> list[SequenceEntry]:
 
 def _write_terms(seq_id: SequenceId, terms: int, sink: IO[bytes], bfile: bool) -> None:
     """Write the first ``terms`` terms to ``sink``, one line each: "n a(n)" in a
-    b-file, the term alone otherwise.  A write per _LINES_PER_WRITE lines, never
-    one string: A024023 at the term cap holds about 10**9 digits."""
+    b-file, the term alone otherwise.  A write once the lines reach
+    _CHARS_PER_WRITE characters, so at most that plus one line, never one
+    string: A024023 at the term cap holds about 10**9 digits."""
     offset, values = _terms(seq_id, terms)
     lines = map(format_term, values)
     if bfile:
         lines = map(" ".join, zip(map(format_term, itertools.count(offset)), lines))
-    while block := list(itertools.islice(lines, _LINES_PER_WRITE)):
+
+    def write(block: list[str]) -> None:
         block.append("")  # the newline that ends the block's last line
         sink.write("\n".join(block).encode("ascii"))
+
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line) + 1  # with its newline
+        if size >= _CHARS_PER_WRITE:
+            write(block)
+            block, size = [], 0
+    if block:
+        write(block)
 
 
 def emit_bfile(seq_id: SequenceId, terms: int, sink: IO[bytes]) -> None:
@@ -124,17 +138,17 @@ def emit_bfile(seq_id: SequenceId, terms: int, sink: IO[bytes]) -> None:
 def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
     """Parse b-file lines into entries.
 
-    Blank lines and '#' comment lines are skipped; a bytes line that is not
-    ASCII, or any other line that is not two integer fields, raises ParseError
-    naming the line number.
+    Blank lines and '#' comment lines are skipped; a line that is neither str
+    nor ASCII bytes, or any other line that is not two integer fields, raises
+    ParseError naming the line number.
     """
+    try:
+        lines = enumerate(source, start=1)
+    except TypeError:
+        raise ParseError(f"b-file must be lines of text, got {type(source).__name__}") from None
     entries = []
-    for lineno, raw in enumerate(source, start=1):
-        try:
-            line = raw.decode("ascii") if isinstance(raw, bytes) else raw
-        except UnicodeDecodeError:
-            raise ParseError(f"line {lineno}: not ASCII text: {raw!r}") from None
-        line = line.strip()
+    for lineno, raw in lines:
+        line = _text_line(raw, lineno).strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()

@@ -181,6 +181,15 @@ def test_format_rule_round_trips():
     assert format_rule(Rule(frozenset({12}), frozenset({3}))) == "B12,/S3"
 
 
+def test_format_rule_is_exact_past_the_int_to_str_limit():
+    assert format_rule(Rule(frozenset({10**5000}), frozenset({3}))) == f"B1{'0' * 5000},/S3"
+
+
+def test_format_rule_is_exact_under_the_least_int_to_str_limit(int_str_limit_640):
+    rule = Rule(frozenset({2, 10**700}), frozenset())
+    assert format_rule(rule) == f"B2,1{'0' * 700}/S"
+
+
 @given(st.frozensets(st.integers(0, 300)), st.frozensets(st.integers(0, 300)))
 @settings(max_examples=300, deadline=None)
 def test_format_rule_round_trips_any_counts(birth, survival):
@@ -856,7 +865,7 @@ def test_load_pattern_from_file(tmp_path):
 def test_load_pattern_reports_bad_line(tmp_path, lines, lineno):
     path = tmp_path / "p.txt"
     path.write_text("\n".join(lines) + "\n")
-    for source in (lines, path):
+    for source in (lines, [line.encode("ascii") for line in lines], path):
         with pytest.raises(ParseError) as exc:
             load_pattern(source)
         message = str(exc.value)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import nbhd
@@ -44,3 +45,51 @@ def test_huge_ints_in_error_messages_keep_the_error_type(site):
     with pytest.raises(error) as exc:
         call()
     assert len(str(exc.value)) > 4300
+
+
+# Arguments of the wrong type, each of which once passed silently or raised
+# TypeError or AttributeError from outside the package.
+_GRID = nbhd.make_grid((4, 4))
+WRONG_TYPE_SITES = {
+    "contains-float": (nbhd.DomainError, lambda: nbhd.contains(nbhd.moore(2), (1.5, 0))),
+    "contains-str": (nbhd.DomainError, lambda: nbhd.contains(nbhd.moore(2), ("a", 0))),
+    "contains-bare": (nbhd.DimensionError, lambda: nbhd.contains(nbhd.moore(2), 5)),
+    "flag-str": (nbhd.DomainError, lambda: nbhd.NeighborhoodSpec(2, k=2, sharp_k="no")),
+    "flag-int": (nbhd.DomainError, lambda: nbhd.NeighborhoodSpec(2, k=2, sharp_k=1)),
+    "flag-none": (nbhd.DomainError, lambda: nbhd.diamond(2, sharp_r=None)),
+    "format-offset": (nbhd.DomainError, lambda: nbhd.format_offset((1.5,))),
+    "rule-bare": (nbhd.DomainError, lambda: nbhd.Rule(3, frozenset())),
+    "step-bare-offset": (nbhd.DimensionError, lambda: nbhd.step(_GRID, _LIFE, [(0, 1), 5])),
+    "parse-rule-none": (nbhd.ParseError, lambda: nbhd.parse_rule(None)),
+    "parse-rule-bytes": (nbhd.ParseError, lambda: nbhd.parse_rule(b"B3/S23")),
+    "parse-offset-none": (nbhd.ParseError, lambda: nbhd.parse_offset(None)),
+    "parse-offset-bytes": (nbhd.ParseError, lambda: nbhd.parse_offset(b"1,2")),
+    "load-pattern-int": (nbhd.ParseError, lambda: nbhd.load_pattern(123)),
+    "load-pattern-int-lines": (nbhd.ParseError, lambda: nbhd.load_pattern([1, 2])),
+    "load-pattern-bad-bytes-line": (nbhd.ParseError, lambda: nbhd.load_pattern([b"1,2", b"x"])),
+    "parse-bfile-int-line": (nbhd.ParseError, lambda: nbhd.parse_bfile(["1 2", 3])),
+}
+
+
+@pytest.mark.parametrize("site", list(WRONG_TYPE_SITES))
+def test_wrong_types_raise_the_package_errors(site):
+    error, call = WRONG_TYPE_SITES[site]
+    with pytest.raises(error):
+        call()
+
+
+def test_text_readers_name_the_line_that_is_not_text():
+    with pytest.raises(nbhd.ParseError, match="^line 2: int, not a line of text$"):
+        nbhd.parse_bfile(["1 2", 3])
+    with pytest.raises(nbhd.ParseError, match="^line 3: NoneType, not a line of text$"):
+        nbhd.load_pattern(["1,2", b"3,4", None])
+    with pytest.raises(nbhd.ParseError, match="^line 2: not ASCII text"):
+        nbhd.load_pattern([b"1,2", b"\xff"])
+
+
+def test_flags_are_stored_as_python_bools():
+    spec = nbhd.k_radius(3, 2, sharp_k=np.True_, sharp_r=np.False_)
+    assert (spec.sharp_k, spec.sharp_r) == (True, False)
+    assert type(spec.sharp_k) is bool and type(spec.sharp_r) is bool
+    assert spec == nbhd.k_radius(3, 2, sharp_k=True)
+    assert nbhd.count(spec) == 12

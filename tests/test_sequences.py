@@ -18,6 +18,7 @@ from nbhd import (
     generate,
     parse_bfile,
 )
+from nbhd.neighborhoods import format_term
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,6 +120,20 @@ def test_non_ascii_lines_are_parse_errors(line):
         parse_bfile([b"0 0", line])
     with pytest.raises(ParseError, match="line 2: not ASCII"):
         diff_against_reference(SequenceId.A005843, io.BytesIO(b"0 0\n" + line + b"\n"))
+
+
+def test_writes_are_bounded_by_text_not_by_lines():
+    # a closed pipe shows at a write, so a write of at most about 1 MiB bounds
+    # the digits formatted after the reader has gone
+    class Sink(io.BytesIO):
+        def write(self, data):
+            sizes.append(len(data))
+            return super().write(data)
+
+    sizes, sink = [], Sink()
+    emit_bfile(SequenceId.A024023, 9100, sink)
+    last_line = f"9099 {format_term(3**9099 - 1)}\n"
+    assert len(sizes) > 1 and max(sizes) <= 2**20 + len(last_line)
 
 
 def test_self_diff_is_empty():
