@@ -16,7 +16,11 @@ k_count, k_radius_count and the rows of A013609 and A265014.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
+import operator
+from typing import Iterator
 
 from .errors import CapacityError, DomainError
 from .neighborhoods import DEFAULT_COUNT_BITS, Family, NeighborhoodSpec, _as_int, _exact, diamond, k_radius, moore
@@ -49,13 +53,15 @@ def sharp_k_count_rec(d: int, k: int) -> int:
     return row[k]
 
 
-def _k_terms(d: int, r: int, k: int) -> list[int]:
-    """[C(d, j) * (2r)^j for j = 0..k], each term stepped from the one before:
-    the offsets with exactly j nonzero components, each in [-r, r]."""
-    terms = [1]
+def _k_terms(d: int, r: int, k: int) -> Iterator[int]:
+    """C(d, j) * (2r)^j for j = 0..k, each term stepped from the one before:
+    the offsets with exactly j nonzero components, each in [-r, r].  Made one
+    at a time, so a reader that sums them holds one term, not k."""
+    term = 1
+    yield term
     for j in range(1, k + 1):
-        terms.append(terms[-1] * 2 * r * (d - j + 1) // j)
-    return terms
+        term = term * 2 * r * (d - j + 1) // j
+        yield term
 
 
 def k_count(d: int, k: int) -> int:
@@ -193,5 +199,7 @@ def count(spec: NeighborhoodSpec) -> int:
         return diamond_sharp_count(d, r) if spec.sharp_r else diamond_count(d, r)
     terms = _k_terms(d, r, spec.k)
     if spec.sharp_r:  # less the members inside r - 1, as 2r - 2 = 2(r - 1)
-        terms = [a - b for a, b in zip(terms, _k_terms(d, r - 1, spec.k))]
-    return terms[-1] if spec.sharp_k else sum(terms[1:])
+        terms = map(operator.sub, terms, _k_terms(d, r - 1, spec.k))
+    if spec.sharp_k:
+        return collections.deque(terms, maxlen=1)[0]
+    return sum(itertools.islice(terms, 1, None))

@@ -69,7 +69,7 @@ _SEQUENCES: dict[SequenceId, tuple[int, Callable[[], Iterator[int]]]] = {
         _k_terms(d, 1, d) for d in itertools.count())),
     # row d lists the k-neighborhood sizes for k = 1..d: running sums of A013609's row d
     SequenceId.A265014: (1, lambda: itertools.chain.from_iterable(
-        itertools.accumulate(_k_terms(d, 1, d)[1:]) for d in itertools.count(1))),
+        itertools.accumulate(itertools.islice(_k_terms(d, 1, d), 1, None)) for d in itertools.count(1))),
     # square array T(d, r) = D(d, r) - D(d, r-1), both indexed from 1, read by
     # antidiagonals with the dimension increasing inside each antidiagonal
     SequenceId.A266213: (1, lambda: (

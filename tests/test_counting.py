@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,19 @@ def test_count_past_the_bit_cap_is_capacity_error():
             count(spec)
     assert count(k_radius(huge, 1)) == 2 * huge
     assert count(diamond(huge, 1)) == 2 * huge
+
+
+def test_count_under_the_bit_cap_holds_one_term_at_a_time():
+    # 9100 terms C(d, j) * 4^j of up to about 2.6 KB each: holding them all
+    # would take tens of MB, stepping them one at a time a few KB
+    tracemalloc.start()
+    try:
+        value = count(k_radius(9100, 9100, 2, sharp_r=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 5**9100 - 3**9100
+    assert peak <= 2**20
 
 
 @settings(deadline=None, max_examples=40)
