@@ -57,10 +57,10 @@ def _k_terms(d: int, r: int, k: int) -> Iterator[int]:
     """C(d, j) * (2r)^j for j = 0..k, each term stepped from the one before:
     the offsets with exactly j nonzero components, each in [-r, r].  Made one
     at a time, so a reader that sums them holds one term, not k."""
-    term = 1
+    term, twice_r = 1, 2 * r
     yield term
     for j in range(1, k + 1):
-        term = term * 2 * r * (d - j + 1) // j
+        term = term * twice_r * (d - j + 1) // j
         yield term
 
 

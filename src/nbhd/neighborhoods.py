@@ -104,9 +104,10 @@ class NeighborhoodSpec:
         if not isinstance(self.family, Family):
             raise DomainError(f"family must be a Family, got {self.family!r}")
         for name in ("sharp_k", "sharp_r"):
-            if not isinstance(flag := getattr(self, name), (bool, np.bool_)):
-                raise DomainError(f"{name} must be a bool, got {flag!r}")
-            object.__setattr__(self, name, bool(flag))
+            if type(flag := getattr(self, name)) is not bool:
+                if not isinstance(flag, np.bool_):
+                    raise DomainError(f"{name} must be a bool, got {flag!r}")
+                object.__setattr__(self, name, bool(flag))
         for name in ("dimension", "r") if self.k is None else ("dimension", "k", "r"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.dimension < 1:

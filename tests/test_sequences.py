@@ -18,6 +18,7 @@ from nbhd import (
     generate,
     parse_bfile,
 )
+from nbhd import sequences
 from nbhd.neighborhoods import format_term
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,18 +123,59 @@ def test_non_ascii_lines_are_parse_errors(line):
         diff_against_reference(SequenceId.A005843, io.BytesIO(b"0 0\n" + line + b"\n"))
 
 
+class WriteSink(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return super().write(data)
+
+
 def test_writes_are_bounded_by_text_not_by_lines():
     # a closed pipe shows at a write, so a write of at most about 1 MiB bounds
     # the digits formatted after the reader has gone
-    class Sink(io.BytesIO):
-        def write(self, data):
-            sizes.append(len(data))
-            return super().write(data)
-
-    sizes, sink = [], Sink()
+    sink = WriteSink()
     emit_bfile(SequenceId.A024023, 9100, sink)
     last_line = f"9099 {format_term(3**9099 - 1)}\n"
-    assert len(sizes) > 1 and max(sizes) <= 2**20 + len(last_line)
+    assert len(sink.writes) > 1 and max(map(len, sink.writes)) <= 2**20 + len(last_line)
+
+
+def test_a_closed_reader_stops_the_formatting_near_the_first_write(monkeypatch):
+    # a closed pipe shows at the first write, so what is formatted before it
+    # is about one write's text, however fast the lines grow
+    formatted = []
+
+    def counted(value):
+        formatted.append(text := format_term(value))
+        return text
+
+    class Closed(io.RawIOBase):
+        def write(self, data):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sequences, "format_term", counted)
+    with pytest.raises(BrokenPipeError):
+        emit_bfile(SequenceId.A024023, 9100, Closed())
+    assert sum(map(len, formatted)) <= 2**20 + 2**16
+
+
+@pytest.mark.parametrize("seq_id", list(SequenceId))
+@pytest.mark.parametrize("chars", [1, 100, 5000])
+def test_each_write_ends_at_the_line_that_reaches_the_bound(monkeypatch, seq_id, chars):
+    # lines are sized a batch at a time; the cut still falls on the first line
+    # at which the text reaches the bound, in and across batches
+    whole = io.BytesIO()
+    emit_bfile(seq_id, 2000, whole)
+    monkeypatch.setattr(sequences, "_CHARS_PER_WRITE", chars)
+    sink = WriteSink()
+    emit_bfile(seq_id, 2000, sink)
+    assert sink.getvalue() == whole.getvalue()
+    for data in sink.writes:
+        last_line = data[data.rstrip(b"\n").rfind(b"\n") + 1 :]
+        assert len(data) - len(last_line) < chars
+    assert all(len(data) >= chars for data in sink.writes[:-1])
 
 
 def test_self_diff_is_empty():
