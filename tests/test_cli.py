@@ -69,6 +69,11 @@ PINNED_COUNTS = [
     "--d 9100 --k 9100 --r 2 --sharp-r",  # 5^9100 - 3^9100, 6361 digits
     "--d 30 --k 1 --r 2 --sharp-k",
     "--d 99999999999999999999 --k 1",
+    "--d 9100 --k 9000 --r 2 --sharp-k --sharp-r",  # C(9100, 9000) * (4^9000 - 2^9000)
+    "--d 8000 --diamond --r 8000",  # D(8000, 8000) - 1, 6124 bytes
+    "--d 8000 --diamond --r 8000 --sharp-r",
+    "--d 3 --diamond --r 100000 --sharp-r",  # the sum over j ends at d
+    "--d 100000 --diamond --r 3 --sharp-r",  # and here at r
 ]
 
 
