@@ -9,17 +9,19 @@ k_radius, moore or diamond builds, so their ranges are the spec's (d >= 1,
 take 0.  Formula/recurrence pairs are intentionally redundant: each pair is
 cross-checked in the test suite, and everything is checked against the
 brute-force box scan in the neighborhoods module.  Recurrences fill dense
-per-call tables iteratively; there is no shared mutable state.  One stepper,
-_k_terms, makes the paper's k-radius terms C(d, j) * (2r)^j for count,
-k_count, k_radius_count and the rows of A013609 and A265014.
+per-call tables iteratively; there is no shared mutable state.
+
+Both families are counted as the paper counts them: a sum over the number j
+of nonzero components of C(d, j) * 2^j * m(j), where m(j) counts the
+magnitudes those j components take, r^j in a k-radius neighborhood and
+C(r, j) in a diamond.  One stepper, _count_terms, makes those terms for
+count, k_count, k_radius_count, diamond_count, diamond_sharp_count and the
+rows of A013609 and A265014; each reader names the range of j it sums.
 """
 
 from __future__ import annotations
 
-import collections
-import itertools
 import math
-import operator
 from typing import Iterator
 
 from .errors import CapacityError, DomainError
@@ -53,21 +55,29 @@ def sharp_k_count_rec(d: int, k: int) -> int:
     return row[k]
 
 
-def _k_terms(d: int, r: int, k: int) -> Iterator[int]:
-    """C(d, j) * (2r)^j for j = 0..k, each term stepped from the one before:
-    the offsets with exactly j nonzero components, each in [-r, r].  Made one
-    at a time, so a reader that sums them holds one term, not k."""
-    term, twice_r = 1, 2 * r
+def _count_terms(d: int, r: int, first: int, last: int, diamond: bool) -> Iterator[int]:
+    """C(d, j) * 2^j * m(j) for j = first..last, with m(j) = C(r, j) when
+    ``diamond`` and r^j otherwise: the offsets with exactly j nonzero
+    components, each of magnitude at most r, and in a diamond of magnitudes
+    summing to at most r.  The first term comes from math.comb and each later
+    one is stepped from the one before, so a reader that sums them holds one
+    term, not all of them."""
+    term = math.comb(d, first) * (math.comb(r, first) if diamond else r**first) << first
     yield term
-    for j in range(1, k + 1):
-        term = term * twice_r * (d - j + 1) // j
+    for j in range(first + 1, last + 1):
+        # C(d, j) = C(d, j-1) * (d-j+1) / j, and C(r, j) = C(r, j-1) * (r-j+1) / j;
+        # the small factors are multiplied first, so the big term is touched twice
+        if diamond:
+            term = term * (2 * (d - j + 1) * (r - j + 1)) // (j * j)
+        else:
+            term = term * (2 * r * (d - j + 1)) // j
         yield term
 
 
 def k_count(d: int, k: int) -> int:
     """Offsets with 1..k nonzero components, each -1 or 1: sum of 2^j * C(d, j)."""
     d, k = (spec := k_radius(d, k)).dimension, spec.k
-    return sum(_k_terms(d, 1, k)) - 1  # less the j = 0 term, the center
+    return sum(_count_terms(d, 1, 1, k, diamond=False))
 
 
 def k_count_rec(d: int, k: int) -> int:
@@ -111,13 +121,9 @@ def diamond_sharp_count(d: int, r: int) -> int:
     """Lattice points at Manhattan distance exactly r:
     sum over k of C(r-1, k-1) * C(d, k) * 2^k."""
     d, r = (spec := diamond(d, r)).dimension, spec.r
-    # C(r-1, k-1) * C(d, k) * 2^k, stepped from k - 1 to k; 2d at k = 1
-    total, term = 0, 2 * d
-    for k in range(1, min(d, r) + 1):
-        if k > 1:
-            term = term * 2 * (r - k + 1) * (d - k + 1) // ((k - 1) * k)
-        total += term
-    return total
+    # k * C(r, k) = r * C(r-1, k-1): k times the filled diamond's term, over r
+    terms = _count_terms(d, r, 1, min(d, r), diamond=True)
+    return sum(k * term for k, term in enumerate(terms, 1)) // r
 
 
 def diamond_sharp_count_rec(d: int, r: int) -> int:
@@ -132,12 +138,7 @@ def diamond_count(d: int, r: int) -> int:
     """Lattice points at Manhattan distance 1..r:
     sum over k of C(r, k) * C(d, k) * 2^k."""
     d, r = (spec := diamond(d, r)).dimension, spec.r
-    # C(r, k) * C(d, k) * 2^k, stepped from k - 1 to k
-    total, term = 0, 1
-    for k in range(1, min(d, r) + 1):
-        term = term * 2 * (r - k + 1) * (d - k + 1) // (k * k)
-        total += term
-    return total
+    return sum(_count_terms(d, r, 1, min(d, r), diamond=True))
 
 
 def _delannoy_row(d: int, r: int) -> list[int]:
@@ -172,7 +173,7 @@ def k_radius_count(d: int, k: int, r: int) -> int:
     would count it and give a value exactly one larger.
     """
     d, k, r = (spec := k_radius(d, k, r)).dimension, spec.k, spec.r
-    return sum(_k_terms(d, r, k)) - 1
+    return sum(_count_terms(d, r, 1, k, diamond=False))
 
 
 # Read only by perfbench/tracing.py; count() has no box-scan route any more.
@@ -197,9 +198,8 @@ def count(spec: NeighborhoodSpec) -> int:
         raise CapacityError(f"count of up to {_exact(bits)} bits would exceed the cap of {DEFAULT_COUNT_BITS}")
     if is_diamond:
         return diamond_sharp_count(d, r) if spec.sharp_r else diamond_count(d, r)
-    terms = _k_terms(d, r, spec.k)
+    first = spec.k if spec.sharp_k else 1
+    total = sum(_count_terms(d, r, first, spec.k, diamond=False))
     if spec.sharp_r:  # less the members inside r - 1, as 2r - 2 = 2(r - 1)
-        terms = map(operator.sub, terms, _k_terms(d, r - 1, spec.k))
-    if spec.sharp_k:
-        return collections.deque(terms, maxlen=1)[0]
-    return sum(itertools.islice(terms, 1, None))
+        total -= sum(_count_terms(d, r - 1, first, spec.k, diamond=False))
+    return total

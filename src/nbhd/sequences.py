@@ -7,7 +7,9 @@ no header.
 
 Every reader of a sequence takes its terms from one checked stream, _terms,
 and plain and b-file output both go through one writer, _write_terms.  The
-rows of A013609 and A265014 come from counting's _k_terms, as count's do.
+rows of A013609 and A265014 are the k-radius terms at r = 1 that count sums,
+from counting's _count_terms: row d of A013609 is the terms for j = 0..d, and
+row d of A265014 the running sums of those for j = 1..d.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import operator
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .counting import _k_terms
+from .counting import _count_terms
 from .errors import CapacityError, DomainError, ParseError
 from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact, _text_line, format_term
 
@@ -70,10 +72,10 @@ _SEQUENCES: dict[SequenceId, tuple[int, Callable[[], Iterator[int]]]] = {
         p - 1 for p in itertools.accumulate(itertools.repeat(3), operator.mul, initial=1))),
     # row d lists 2^k * C(d, k) for k = 0..d
     SequenceId.A013609: (0, lambda: itertools.chain.from_iterable(
-        _k_terms(d, 1, d) for d in itertools.count())),
+        _count_terms(d, 1, 0, d, diamond=False) for d in itertools.count())),
     # row d lists the k-neighborhood sizes for k = 1..d: running sums of A013609's row d
     SequenceId.A265014: (1, lambda: itertools.chain.from_iterable(
-        itertools.accumulate(itertools.islice(_k_terms(d, 1, d), 1, None)) for d in itertools.count(1))),
+        itertools.accumulate(_count_terms(d, 1, 1, d, diamond=False)) for d in itertools.count(1))),
     # square array T(d, r) = D(d, r) - D(d, r-1), both indexed from 1, read by
     # antidiagonals with the dimension increasing inside each antidiagonal
     SequenceId.A266213: (1, lambda: (

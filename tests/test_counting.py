@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nbhd import (
     CapacityError,
     DomainError,
+    Family,
     binomial,
     brute_force_count,
     count,
@@ -253,17 +254,29 @@ def test_count_past_the_bit_cap_is_capacity_error():
     assert count(diamond(huge, 1)) == 2 * huge
 
 
-def test_count_under_the_bit_cap_holds_one_term_at_a_time():
-    # 9100 terms C(d, j) * 4^j of up to about 2.6 KB each: holding them all
-    # would take tens of MB, stepping them one at a time a few KB
+@pytest.mark.parametrize(
+    "spec", [k_radius(9100, 9100, 2, sharp_r=True), diamond(8000, 8000, sharp_r=True)], ids=["k-radius", "diamond"]
+)
+def test_count_under_the_bit_cap_holds_one_term_at_a_time(spec):
+    # 9100 terms C(d, j) * 4^j of up to about 2.6 KB each, or 8000 diamond
+    # terms of up to about 2.5 KB: holding them all would take tens of MB,
+    # stepping them one at a time a few KB
     tracemalloc.start()
     try:
-        value = count(k_radius(9100, 9100, 2, sharp_r=True))
+        value = count(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert value == 5**9100 - 3**9100
+    if spec.family is Family.K_RADIUS:  # the diamond's value is pinned by the count hashes in test_cli
+        assert value == 5**9100 - 3**9100
     assert peak <= 2**20
+
+
+def test_a_sharp_k_shell_is_one_term():
+    # C(d, k) * ((2r)^k - (2r-2)^k), with no sum over the k - 1 terms below it
+    assert count(k_radius(9100, 9000, 2, sharp_k=True, sharp_r=True)) == math.comb(9100, 9000) * (
+        4**9000 - 2**9000
+    )
 
 
 @settings(deadline=None, max_examples=40)
@@ -308,3 +321,16 @@ def test_stepped_sums_match_math_comb_sums():
                 )
         for k in range(1, d + 1):
             assert k_count(d, k) == sum(2**j * comb(d, j) for j in range(1, k + 1))
+    # count for every sharpness: j nonzero components (j = k when sharp on k),
+    # and on the shell (s = 1) at least one of them +-r
+    for d in range(1, 13):
+        for r in range(1, 13):
+            for s, sharp_r in enumerate((False, True)):
+                ways = (lambda j: comb(r - 1, j - 1)) if sharp_r else (lambda j: comb(r, j))
+                want = sum(ways(j) * comb(d, j) * 2**j for j in range(1, min(d, r) + 1))
+                assert count(diamond(d, r, sharp_r=sharp_r)) == want
+                for k in range(1, d + 1):
+                    for sharp_k in (False, True):
+                        terms = (k,) if sharp_k else range(1, k + 1)
+                        want = sum(comb(d, j) * ((2 * r) ** j - s * (2 * r - 2) ** j) for j in terms)
+                        assert count(k_radius(d, k, r, sharp_k=sharp_k, sharp_r=sharp_r)) == want
