@@ -25,7 +25,9 @@ import math
 from typing import Iterator
 
 from .errors import CapacityError, DomainError
-from .neighborhoods import DEFAULT_COUNT_BITS, Family, NeighborhoodSpec, _as_int, _exact, diamond, k_radius, moore
+from .neighborhoods import (
+    DEFAULT_COUNT_BITS, Family, NeighborhoodSpec, _as_int, _exact, _expect, diamond, k_radius, moore,
+)
 from .neighborhoods import brute_force_count  # read only by perfbench/tracing.py, which wraps it
 
 
@@ -190,6 +192,7 @@ def count(spec: NeighborhoodSpec) -> int:
     least one is +-r: the count sums C(d, j) * ((2r)^j - s * (2r-2)^j) over
     those j, with s = 1 on the shell and 0 off it.
     """
+    _expect(spec, NeighborhoodSpec, "spec")
     d, r, is_diamond = spec.dimension, spec.r, spec.family is Family.DIAMOND
     # the count is below (2r+1)^d, and below (2d+1)^r (diamond) or 2 * (2rd)^k (k-radius)
     other = r * (2 * d + 1).bit_length() if is_diamond else spec.k * (2 * r * d).bit_length() + 1

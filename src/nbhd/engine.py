@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
 from .neighborhoods import (
-    _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _exact, _offset_lines, _text_line, format_term,
+    _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _exact, _expect, _offset_lines, _text_line, format_term,
 )
 
 
@@ -60,13 +60,26 @@ class Boundary(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
+    """``states`` is an array of shape ``dims``, 0 dead and 1 live, in any
+    memory layout: uint8 holding only 0 and 1, or bool.  Any other type or
+    value raises DomainError, and another shape DimensionError."""
+
     dims: tuple[int, ...]
-    states: np.ndarray  # uint8 array of shape dims; 0 dead, 1 live
+    states: np.ndarray
     boundary: Boundary = Boundary.TOROIDAL
 
     def __post_init__(self) -> None:
         if not isinstance(self.boundary, Boundary):
             raise DomainError(f"boundary must be a Boundary, got {self.boundary!r}")
+        states = self.states
+        if not isinstance(states, np.ndarray) or states.dtype not in (np.uint8, np.bool_):
+            kind = states.dtype if isinstance(states, np.ndarray) else type(states).__name__
+            raise DomainError(f"grid states must be a uint8 or bool array, got {kind}")
+        if states.shape != self.dims:
+            raise DimensionError(f"grid states of shape {states.shape} do not match dims {_exact(self.dims)}")
+        # step reads a uint8 state as a count of 0 or 1; one pass of max, no copy
+        if states.dtype == np.uint8 and states.size and states.max() > 1:
+            raise DomainError(f"grid states must be 0 or 1, got {states.max()}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
@@ -132,6 +145,7 @@ def parse_rule(text: str) -> Rule:
 
 
 def format_rule(rule: Rule) -> str:
+    _expect(rule, Rule, "rule")
     def part(counts: frozenset[int]) -> str:
         ordered = sorted(counts)
         if all(c <= 9 for c in ordered):
@@ -168,7 +182,10 @@ def make_grid(
     if cells > DEFAULT_CELL_CAP:
         raise CapacityError(f"grid of {_exact(cells)} cells would exceed the cap of {DEFAULT_CELL_CAP}")
     if not isinstance(live_cells, np.ndarray):
-        live_cells = list(live_cells)
+        try:
+            live_cells = list(live_cells)
+        except TypeError:  # a bare number
+            raise DimensionError(f"live cells {_exact(live_cells)} are not coordinate sequences") from None
     try:
         coords = np.asarray(live_cells)
     except ValueError:  # ragged cells
@@ -211,11 +228,13 @@ def _check_cell(cell: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def population(grid: Grid) -> int:
+    _expect(grid, Grid, "grid")
     return int(grid.states.sum())
 
 
 def live_cells(grid: Grid) -> list[tuple[int, ...]]:
     """Coordinates of the live cells in lexicographic order (np.argwhere's)."""
+    _expect(grid, Grid, "grid")
     return list(map(tuple, np.argwhere(grid.states).tolist()))
 
 
@@ -229,8 +248,11 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     Python ints and a non-integer raises DomainError; a bare number in place
     of an offset raises DimensionError.  An (n, d) array, as
     offset_array returns, is taken as its rows.  A padded copy of more than
-    DEFAULT_CELL_CAP cells raises CapacityError before it is made.
+    DEFAULT_CELL_CAP cells raises CapacityError before it is made.  A grid
+    or rule of another type raises DomainError.
     """
+    _expect(grid, Grid, "grid")
+    _expect(rule, Rule, "rule")
     if isinstance(offsets, np.ndarray):
         offsets = offsets.tolist()
     # as ints before the plan's cache key is made: 1.0 == 1 and hashes alike
@@ -449,10 +471,13 @@ def run(
     """Apply step exactly ``steps`` times.
 
     After each step the observer (if any) receives the 1-based step index and
-    the population.  steps=0 returns the input grid unchanged.
+    the population.  steps=0 returns the input grid unchanged.  An observer
+    that is not callable raises DomainError before the first step.
     """
     if (steps := _as_int(steps, "steps")) < 0:
         raise DomainError(f"steps must be >= 0, got {_exact(steps)}")
+    if observer is not None and not callable(observer):
+        raise DomainError(f"observer must be callable, got {type(observer).__name__}")
     current = grid
     for i in range(1, steps + 1):
         current = step(current, rule, offsets)
@@ -552,6 +577,7 @@ def render_snapshot(grid: Grid) -> str:
     dimensions list the live-cell coordinates, one per line, in the pattern
     file format.
     """
+    _expect(grid, Grid, "grid")
     if len(grid.dims) == 2:
         rows, cols = grid.dims
         chars = np.full((rows, cols + 1), ord("\n"), dtype=np.uint8)

@@ -78,6 +78,14 @@ def _as_int(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _expect(value, kind: type, name: str) -> None:
+    """DomainError unless ``value`` is a ``kind``, before any of its
+    attributes is read: a whole argument of the wrong type is refused as a
+    parameter outside the operation's domain."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 class Family(enum.Enum):
     K_RADIUS = "k-radius"
     DIAMOND = "diamond"
@@ -161,6 +169,7 @@ def contains(spec: NeighborhoodSpec, delta: Sequence[int]) -> bool:
     read as ``step`` reads them: a numpy integer is the int it holds, and a
     non-integer raises DomainError.
     """
+    _expect(spec, NeighborhoodSpec, "spec")
     try:
         delta = [_as_int(c, "offset component") for c in delta]
     except TypeError:  # a bare number
@@ -292,6 +301,7 @@ def brute_force_count(spec: NeighborhoodSpec) -> int:
     chunks, base 2r+1, and tested by the rules of ``contains`` on arrays.
     Raises CapacityError when the box holds more than DEFAULT_BOX_CAP (2**26).
     """
+    _expect(spec, NeighborhoodSpec, "spec")
     d, r = spec.dimension, spec.r
     box = (2 * r + 1) ** d
     if box > DEFAULT_BOX_CAP:
@@ -321,8 +331,12 @@ def brute_force_count(spec: NeighborhoodSpec) -> int:
 
 
 def format_offset(offset: Sequence[int]) -> str:
-    """``offset`` as "c1,...,cd", exact at any size through format_term."""
-    return ",".join(format_term(_as_int(c, "offset component")) for c in offset)
+    """``offset`` as "c1,...,cd", exact at any size through format_term; a
+    bare number in place of the sequence raises DimensionError."""
+    try:
+        return ",".join(format_term(_as_int(c, "offset component")) for c in offset)
+    except TypeError:  # a bare number
+        raise DimensionError(f"offset {_exact(offset)} is not a coordinate sequence") from None
 
 
 def parse_offset(text: str) -> Offset:

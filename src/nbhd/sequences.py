@@ -142,7 +142,10 @@ def _write_terms(seq_id: SequenceId, terms: int, sink: IO[bytes], bfile: bool) -
 
 
 def emit_bfile(seq_id: SequenceId, terms: int, sink: IO[bytes]) -> None:
-    """Write the sequence to ``sink`` in OEIS b-file format."""
+    """Write the sequence to ``sink`` in OEIS b-file format; a sink with no
+    write method raises DomainError before any term is made."""
+    if not callable(getattr(sink, "write", None)):
+        raise DomainError(f"sink must have a write method, got {type(sink).__name__}")
     _write_terms(seq_id, terms, sink, bfile=True)
 
 

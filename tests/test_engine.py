@@ -794,9 +794,9 @@ def test_step_tests_runs_up_to_the_crossover_and_gathers_past_it(monkeypatch):
 
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_step_reads_grids_of_any_memory_layout(boundary):
-    # a Grid may hold a Fortran-ordered or strided states array, as a caller
-    # builds it: every layout steps to the C-ordered grid's next state, over
-    # more than one block and for a rule on either side of the crossover
+    # a Grid may hold a Fortran-ordered, strided or bool states array, as a
+    # caller builds it: every layout steps to the C-ordered grid's next state,
+    # over more than one block and for a rule on either side of the crossover
     shapes = _rule_shapes(len(MOORE2))
     for dims, offs, rules in [
         ((300, 300), MOORE2, [LIFE, shapes["over"][0]]),
@@ -805,7 +805,9 @@ def test_step_reads_grids_of_any_memory_layout(boundary):
         grid = _soup(dims, boundary)
         strided = np.zeros(tuple(2 * n for n in dims), dtype=np.uint8)
         strided[tuple(slice(None, None, 2) for _ in dims)] = grid.states
-        layouts = [np.asfortranarray(grid.states), strided[tuple(slice(None, None, 2) for _ in dims)]]
+        layouts = [
+            np.asfortranarray(grid.states), strided[tuple(slice(None, None, 2) for _ in dims)], grid.states.astype(bool),
+        ]
         for rule in rules:
             want = step(grid, rule, offs)
             if dims == (7, 6, 5):

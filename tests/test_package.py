@@ -50,6 +50,7 @@ def test_huge_ints_in_error_messages_keep_the_error_type(site):
 # Arguments of the wrong type, each of which once passed silently or raised
 # TypeError or AttributeError from outside the package.
 _GRID = nbhd.make_grid((4, 4))
+_BLINKER = nbhd.make_grid((5, 5), live_cells=[(2, 1), (2, 2), (2, 3)])
 WRONG_TYPE_SITES = {
     "contains-float": (nbhd.DomainError, lambda: nbhd.contains(nbhd.moore(2), (1.5, 0))),
     "contains-str": (nbhd.DomainError, lambda: nbhd.contains(nbhd.moore(2), ("a", 0))),
@@ -68,6 +69,28 @@ WRONG_TYPE_SITES = {
     "load-pattern-int-lines": (nbhd.ParseError, lambda: nbhd.load_pattern([1, 2])),
     "load-pattern-bad-bytes-line": (nbhd.ParseError, lambda: nbhd.load_pattern([b"1,2", b"x"])),
     "parse-bfile-int-line": (nbhd.ParseError, lambda: nbhd.parse_bfile(["1 2", 3])),
+    # a Grid whose states step would misread: 2s counted as no live cells, and
+    # a rule past _MAX_RUNS indexing past its table
+    "grid-states-two": (nbhd.DomainError, lambda: nbhd.Grid((5, 5), 2 * _BLINKER.states)),
+    "grid-states-int64": (nbhd.DomainError, lambda: nbhd.Grid((4, 4), _GRID.states.astype(np.int64))),
+    "grid-states-list": (nbhd.DomainError, lambda: nbhd.Grid((4, 4), _GRID.states.tolist())),
+    "grid-states-shape": (nbhd.DimensionError, lambda: nbhd.Grid((4, 5), _GRID.states)),
+    # whole objects of the wrong type
+    "count-str": (nbhd.DomainError, lambda: nbhd.count("spec")),
+    "enumerate-str": (nbhd.DomainError, lambda: nbhd.enumerate_offsets("spec")),
+    "contains-spec-str": (nbhd.DomainError, lambda: nbhd.contains("spec", (1,))),
+    "box-scan-str": (nbhd.DomainError, lambda: nbhd.brute_force_count("spec")),
+    "step-rule-str": (nbhd.DomainError, lambda: nbhd.step(_GRID, "B3/S23", [(0, 1)])),
+    "step-grid-int": (nbhd.DomainError, lambda: nbhd.step(5, _LIFE, [(0, 1)])),
+    "run-grid-int": (nbhd.DomainError, lambda: nbhd.run(5, _LIFE, [(0, 1)], 1)),
+    "run-observer-int": (nbhd.DomainError, lambda: nbhd.run(_GRID, _LIFE, [(0, 1)], 1, observer=5)),
+    "population-int": (nbhd.DomainError, lambda: nbhd.population(5)),
+    "live-cells-int": (nbhd.DomainError, lambda: nbhd.live_cells(5)),
+    "render-snapshot-int": (nbhd.DomainError, lambda: nbhd.render_snapshot(5)),
+    "format-rule-str": (nbhd.DomainError, lambda: nbhd.format_rule("B3/S23")),
+    "emit-bfile-none": (nbhd.DomainError, lambda: nbhd.emit_bfile(nbhd.SequenceId.A005843, 3, None)),
+    "format-offset-bare": (nbhd.DimensionError, lambda: nbhd.format_offset(5)),
+    "make-grid-bare-cells": (nbhd.DimensionError, lambda: nbhd.make_grid((3, 3), live_cells=5)),
 }
 
 
