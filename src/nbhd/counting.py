@@ -9,14 +9,10 @@ k_radius, moore or diamond builds, so their ranges are the spec's (d >= 1,
 take 0.  Formula/recurrence pairs are intentionally redundant: each pair is
 cross-checked in the test suite, and everything is checked against the
 brute-force box scan in the neighborhoods module.  Recurrences fill dense
-per-call tables iteratively; there is no shared mutable state.
-
-Both families are counted as the paper counts them: a sum over the number j
-of nonzero components of C(d, j) * 2^j * m(j), where m(j) counts the
-magnitudes those j components take, r^j in a k-radius neighborhood and
-C(r, j) in a diamond.  One stepper, _count_terms, makes those terms for
-count, k_count, k_radius_count, diamond_count, diamond_sharp_count and the
-rows of A013609 and A265014; each reader names the range of j it sums.
+per-call tables iteratively; there is no shared mutable state.  Both
+families sum the paper's term C(d, j) * 2^j * m(j) over the number j of
+nonzero components, m(j) = r^j (k-radius) or C(r, j) (diamond); one stepper,
+_count_terms, makes it for every such sum, each naming the range of j it sums.
 """
 
 from __future__ import annotations
@@ -58,17 +54,15 @@ def sharp_k_count_rec(d: int, k: int) -> int:
 
 
 def _count_terms(d: int, r: int, first: int, last: int, diamond: bool) -> Iterator[int]:
-    """C(d, j) * 2^j * m(j) for j = first..last, with m(j) = C(r, j) when
-    ``diamond`` and r^j otherwise: the offsets with exactly j nonzero
-    components, each of magnitude at most r, and in a diamond of magnitudes
-    summing to at most r.  The first term comes from math.comb and each later
-    one is stepped from the one before, so a reader that sums them holds one
-    term, not all of them."""
+    """C(d, j) * 2^j * m(j) for j = first..last, m(j) = C(r, j) if ``diamond``
+    else r^j: the members with exactly j nonzero components.  The first term is
+    from math.comb and each later one is stepped from the one before, so a
+    reader that sums them holds one term, not all of them."""
     term = math.comb(d, first) * (math.comb(r, first) if diamond else r**first) << first
     yield term
     for j in range(first + 1, last + 1):
-        # C(d, j) = C(d, j-1) * (d-j+1) / j, and C(r, j) = C(r, j-1) * (r-j+1) / j;
-        # the small factors are multiplied first, so the big term is touched twice
+        # C(d, j) = C(d, j-1) * (d-j+1) / j, and C(r, j) likewise; the small
+        # factors are multiplied first, so the big term is touched twice
         if diamond:
             term = term * (2 * (d - j + 1) * (r - j + 1)) // (j * j)
         else:

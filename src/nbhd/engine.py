@@ -34,6 +34,7 @@ returns a fresh grid and never writes to an existing one.
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import io
@@ -181,10 +182,10 @@ def make_grid(
     cells = math.prod(dims)
     if cells > DEFAULT_CELL_CAP:
         raise CapacityError(f"grid of {_exact(cells)} cells would exceed the cap of {DEFAULT_CELL_CAP}")
-    if not isinstance(live_cells, np.ndarray):
+    if not isinstance(live_cells, np.ndarray) or live_cells.ndim == 0:
         try:
             live_cells = list(live_cells)
-        except TypeError:  # a bare number
+        except TypeError:  # a bare number, or a 0-d array of one
             raise DimensionError(f"live cells {_exact(live_cells)} are not coordinate sequences") from None
     try:
         coords = np.asarray(live_cells)
@@ -283,7 +284,11 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
             _test_runs(here, runs, states[block].view(bool), scratch)
         else:
             np.take(table, here, out=states[block])
-    return Grid(grid.dims, states.reshape(grid.dims), grid.boundary)
+    # states made here are 0 or 1 by construction, so Grid's check of them,
+    # a pass over every cell (about 3% of a 1024^2 Life step), is skipped
+    stepped = copy.copy(grid)
+    object.__setattr__(stepped, "states", states.reshape(grid.dims))
+    return stepped
 
 
 _BLOCK = 2**16  # cells whose key is made or looked up at once

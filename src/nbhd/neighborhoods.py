@@ -79,9 +79,8 @@ def _as_int(value, name: str) -> int:
 
 
 def _expect(value, kind: type, name: str) -> None:
-    """DomainError unless ``value`` is a ``kind``, before any of its
-    attributes is read: a whole argument of the wrong type is refused as a
-    parameter outside the operation's domain."""
+    """DomainError unless ``value`` is a ``kind``: a whole argument of the
+    wrong type is refused before any of its attributes is read."""
     if not isinstance(value, kind):
         raise DomainError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 

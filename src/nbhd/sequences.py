@@ -7,9 +7,7 @@ no header.
 
 Every reader of a sequence takes its terms from one checked stream, _terms,
 and plain and b-file output both go through one writer, _write_terms.  The
-rows of A013609 and A265014 are the k-radius terms at r = 1 that count sums,
-from counting's _count_terms: row d of A013609 is the terms for j = 0..d, and
-row d of A265014 the running sums of those for j = 1..d.
+rows of A013609 and A265014 are count's k-radius terms at r = 1, _count_terms.
 """
 
 from __future__ import annotations

@@ -91,6 +91,7 @@ WRONG_TYPE_SITES = {
     "emit-bfile-none": (nbhd.DomainError, lambda: nbhd.emit_bfile(nbhd.SequenceId.A005843, 3, None)),
     "format-offset-bare": (nbhd.DimensionError, lambda: nbhd.format_offset(5)),
     "make-grid-bare-cells": (nbhd.DimensionError, lambda: nbhd.make_grid((3, 3), live_cells=5)),
+    "make-grid-0d-cells": (nbhd.DimensionError, lambda: nbhd.make_grid((3, 3), live_cells=np.array(5))),
 }
 
 
