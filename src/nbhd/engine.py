@@ -50,7 +50,8 @@ import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
 from .neighborhoods import (
-    _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _exact, _expect, _offset_lines, _text_line, format_term,
+    _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _coordinates, _exact, _expect, _offset_lines, _rows, _text_line,
+    format_term,
 )
 
 
@@ -61,7 +62,8 @@ class Boundary(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """``states`` is an array of shape ``dims``, 0 dead and 1 live, in any
+    """``dims`` is read as make_grid reads it and stored as Python ints.
+    ``states`` is an array of shape ``dims``, 0 dead and 1 live, in any
     memory layout: uint8 holding only 0 and 1, or bool.  Any other type or
     value raises DomainError, and another shape DimensionError."""
 
@@ -72,6 +74,7 @@ class Grid:
     def __post_init__(self) -> None:
         if not isinstance(self.boundary, Boundary):
             raise DomainError(f"boundary must be a Boundary, got {self.boundary!r}")
+        object.__setattr__(self, "dims", _coordinates(self.dims, "grid dims"))
         states = self.states
         if not isinstance(states, np.ndarray) or states.dtype not in (np.uint8, np.bool_):
             kind = states.dtype if isinstance(states, np.ndarray) else type(states).__name__
@@ -166,15 +169,16 @@ def make_grid(
 ) -> Grid:
     """A grid with exactly the listed cells live, of at most DEFAULT_CELL_CAP cells.
 
-    ``live_cells`` is an (n, d) integer array, as load_pattern returns, or
-    any iterable of coordinate sequences; zero rows mean no live cells,
-    whatever their width and dtype.  A non-integer dim or coordinate, or a
-    boundary that is not a Boundary, raises DomainError.  More than 64 dims
-    (numpy's limit), or a cell with other than ``len(dims)`` components,
+    ``live_cells`` are rows read as step reads offsets: an (n, d) integer
+    array, as load_pattern returns, or any iterable of coordinate sequences;
+    zero rows mean no live cells, whatever their width and dtype.  A
+    non-integer dim or coordinate, or a boundary that is not a Boundary,
+    raises DomainError.  More than 64 dims (numpy's limit), a bare number in
+    place of a sequence, or a cell of other than ``len(dims)`` components,
     raises DimensionError; the first cell outside the grid (a coordinate
     outside int64 included) raises BoundsError.
     """
-    dims = tuple(_as_int(n, "grid dim") for n in dims)
+    dims = _coordinates(dims, "grid dims")
     if not dims or any(n < 1 for n in dims):
         raise DomainError(f"grid dims must be positive, got {_exact(dims)}")
     if len(dims) > _MAX_AXES:
@@ -182,50 +186,21 @@ def make_grid(
     cells = math.prod(dims)
     if cells > DEFAULT_CELL_CAP:
         raise CapacityError(f"grid of {_exact(cells)} cells would exceed the cap of {DEFAULT_CELL_CAP}")
-    if not isinstance(live_cells, np.ndarray) or live_cells.ndim == 0:
-        try:
-            live_cells = list(live_cells)
-        except TypeError:  # a bare number, or a 0-d array of one
-            raise DimensionError(f"live cells {_exact(live_cells)} are not coordinate sequences") from None
-    try:
-        coords = np.asarray(live_cells)
-    except ValueError:  # ragged cells
-        coords = None
-    if coords is None or (coords.size and (coords.dtype.kind not in "iu" or coords.max() > _INT64.max)):
-        # ragged cells, non-integers, or integers past int64 (which numpy may
-        # read as floats, or hold as uint64): check each cell as Python ints,
-        # naming the first bad one
-        coords = np.array([_check_cell(cell, dims) for cell in live_cells], dtype=np.int64)
-    coords = coords.astype(np.int64, copy=False)
+    coords = _rows(live_cells, len(dims), "cell", "grid dimension")
     states = np.zeros(dims, dtype=np.uint8)
     if len(coords):
-        if coords.ndim != 2:
-            raise DimensionError(f"live cells must be coordinate sequences, got shape {coords.shape}")
-        if coords.shape[1] != len(dims):
-            _check_cell(coords[0].tolist(), dims)
+        # bounds first: a cell past int64 (uint64, or Python ints) is named as given
         outside = ((coords < 0) | (coords >= dims)).any(axis=1)
         if outside.any():
-            _check_cell(coords[outside.argmax()].tolist(), dims)
+            cell = tuple(coords[outside.argmax()].tolist())
+            raise BoundsError(f"cell {_exact(cell)} outside grid of dims {_exact(dims)}")
         # one flat index per cell: numpy takes at most 63 index arrays
         flat = np.zeros(len(coords), dtype=np.int64)
-        for column, n in zip(coords.T, dims):
+        for column, n in zip(coords.astype(np.int64, copy=False).T, dims):
             flat *= n
             flat += column
         states.reshape(-1)[flat] = 1
     return Grid(dims, states, boundary)
-
-
-def _check_cell(cell: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:
-    """``cell`` as a tuple of ints inside the grid, or the error it is."""
-    try:
-        cell = tuple(_as_int(c, "cell coordinate") for c in cell)
-    except TypeError:  # a bare number
-        raise DimensionError(f"live cell {_exact(cell)} is not a coordinate sequence") from None
-    if len(cell) != len(dims):
-        raise DimensionError(f"cell {_exact(cell)} does not match grid dimension {len(dims)}")
-    if any(not 0 <= c < n for c, n in zip(cell, dims)):
-        raise BoundsError(f"cell {_exact(cell)} outside grid of dims {_exact(dims)}")
-    return cell
 
 
 def population(grid: Grid) -> int:
@@ -244,27 +219,18 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
 
     A cell's next state is 1 iff it is dead with a live-neighbor count in
     rule.birth, or live with a count in rule.survival.  Neighbor lookups wrap
-    on a toroidal grid and read 0 outside a fixed-dead one.  Every offset
-    component goes through operator.index, so numpy integers are read as
-    Python ints and a non-integer raises DomainError; a bare number in place
-    of an offset raises DimensionError.  An (n, d) array, as
-    offset_array returns, is taken as its rows.  A padded copy of more than
-    DEFAULT_CELL_CAP cells raises CapacityError before it is made.  A grid
-    or rule of another type raises DomainError.
+    on a toroidal grid and read 0 outside a fixed-dead one.  ``offsets``
+    are rows read as make_grid reads cells, an (n, d) integer array or
+    coordinate sequences, each component through operator.index: a numpy
+    integer is a Python int, a non-integer a DomainError, and a bare number
+    or an offset of another length a DimensionError.  A padded copy of more
+    than DEFAULT_CELL_CAP cells raises CapacityError before it is made.  A
+    grid or rule of another type raises DomainError.
     """
     _expect(grid, Grid, "grid")
     _expect(rule, Rule, "rule")
-    if isinstance(offsets, np.ndarray):
-        offsets = offsets.tolist()
     # as ints before the plan's cache key is made: 1.0 == 1 and hashes alike
-    try:
-        offsets = tuple(tuple(_as_int(c, "offset component") for c in off) for off in offsets)
-    except TypeError:  # a bare number, not a coordinate sequence
-        raise DimensionError("offsets must be coordinate sequences") from None
-    d = len(grid.dims)
-    for off in offsets:
-        if len(off) != d:
-            raise DimensionError(f"offset {_exact(off)} does not match grid dimension {d}")
+    offsets = tuple(map(tuple, _rows(offsets, len(grid.dims), "offset", "grid dimension").tolist()))
     n = len(offsets)
     rule.check_fits(n)
 

@@ -85,6 +85,46 @@ def _expect(value, kind: type, name: str) -> None:
         raise DomainError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
+def _coordinates(value, what: str, d: int | None = None, against: str = "dimension") -> tuple[int, ...]:
+    """``value``, an offset, a cell or a grid's dims, as a tuple of Python
+    ints, each read through _as_int (DomainError for a non-integer).  A bare
+    number is a DimensionError, and so, given ``d``, is any other length,
+    named as "``what`` ... does not match ``against`` d"."""
+    try:
+        coords = tuple(_as_int(c, f"{what} component") for c in value)
+    except TypeError:  # a bare number
+        raise DimensionError(f"{what} {_exact(value)} is not a coordinate sequence") from None
+    if d is not None and len(coords) != d:
+        raise DimensionError(f"{what} {_exact(coords)} does not match {against} {_exact(d)}")
+    return coords
+
+
+def _rows(rows, d: int, what: str, against: str = "dimension") -> np.ndarray:
+    """``rows``, an (n, d) array or any iterable of coordinate sequences, as
+    an (n, d) integer array; zero rows, of any width and dtype, are no rows.
+
+    Where numpy reads ``rows`` as integers of width d (an int8 offset_array,
+    load_pattern's int64, a list of int tuples) that array is the result.
+    Anything else is read row by row through _coordinates, which names the
+    first bad row, into an object array of Python ints, exact past int64.
+    A bare number, or a 0-d array, is a DimensionError.
+    """
+    try:
+        rows = rows if isinstance(rows, np.ndarray) and rows.ndim else list(rows)
+    except TypeError:  # a bare number, or a 0-d array of one
+        raise DimensionError(f"{what}s {_exact(rows)} are not coordinate sequences") from None
+    if not len(rows):
+        return np.zeros((0, d), dtype=np.int64)
+    try:
+        array = np.asarray(rows)
+        if array.dtype.kind in "iu" and array.shape[1:] == (d,):
+            return array
+    except ValueError:  # ragged rows
+        pass
+    coords = [_coordinates(row, what, d, against) for row in rows]
+    return np.array(coords, dtype=object).reshape(-1, d)
+
+
 class Family(enum.Enum):
     K_RADIUS = "k-radius"
     DIAMOND = "diamond"
@@ -169,14 +209,7 @@ def contains(spec: NeighborhoodSpec, delta: Sequence[int]) -> bool:
     non-integer raises DomainError.
     """
     _expect(spec, NeighborhoodSpec, "spec")
-    try:
-        delta = [_as_int(c, "offset component") for c in delta]
-    except TypeError:  # a bare number
-        raise DimensionError(f"offset {_exact(delta)} is not a coordinate sequence") from None
-    if len(delta) != spec.dimension:
-        raise DimensionError(
-            f"offset has {len(delta)} components, spec dimension is {_exact(spec.dimension)}"
-        )
+    delta = _coordinates(delta, "offset", spec.dimension, "spec dimension")
     if spec.family is Family.DIAMOND:
         total = sum(abs(c) for c in delta)
         if total == 0:
@@ -332,10 +365,7 @@ def brute_force_count(spec: NeighborhoodSpec) -> int:
 def format_offset(offset: Sequence[int]) -> str:
     """``offset`` as "c1,...,cd", exact at any size through format_term; a
     bare number in place of the sequence raises DimensionError."""
-    try:
-        return ",".join(format_term(_as_int(c, "offset component")) for c in offset)
-    except TypeError:  # a bare number
-        raise DimensionError(f"offset {_exact(offset)} is not a coordinate sequence") from None
+    return ",".join(map(format_term, _coordinates(offset, "offset")))
 
 
 def parse_offset(text: str) -> Offset:
