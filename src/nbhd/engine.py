@@ -73,7 +73,7 @@ class Grid:
 
     def __post_init__(self) -> None:
         if not isinstance(self.boundary, Boundary):
-            raise DomainError(f"boundary must be a Boundary, got {self.boundary!r}")
+            raise DomainError(f"boundary must be a Boundary, got {_exact(self.boundary)}")
         object.__setattr__(self, "dims", _coordinates(self.dims, "grid dims"))
         states = self.states
         if not isinstance(states, np.ndarray) or states.dtype not in (np.uint8, np.bool_):
@@ -465,7 +465,8 @@ def load_pattern(source: str | Path | Iterable[str | bytes]) -> np.ndarray:
     """Live-cell coordinates from a pattern file, as an (n, d) int64 array.
 
     ``source`` is a path or the file's lines (str, or ASCII bytes), with no
-    line break but at their end; anything else raises ParseError.  Each line
+    line break but at their end; anything else, or a path holding a NUL,
+    raises ParseError, and a path that cannot be read OSError.  Each line
     holds one cell as comma-separated integers, each field ``[+-]?[0-9]+``
     after stripping whitespace and inside the int64 range.  '#' starts a
     comment anywhere on a line and blank lines are ignored, so a file without
@@ -474,6 +475,8 @@ def load_pattern(source: str | Path | Iterable[str | bytes]) -> np.ndarray:
     ParseError naming the line.
     """
     if isinstance(source, (str, Path)):
+        if "\0" in str(source):  # which open refuses with ValueError
+            raise ParseError(f"pattern path {str(source)!r} holds a NUL character")
         try:
             with open(source, "r", encoding="ascii") as handle:
                 return _parse_pattern(handle)

@@ -58,15 +58,20 @@ def format_term(value: int) -> str:
 
 def _exact(value) -> str:
     """An int, or a tuple of ints, as str writes it, but exact at any size,
-    through format_term.  Any other value is its repr.  Error messages write
-    their values through it."""
+    through format_term.  Any other value is its repr, or its type's name
+    where repr refuses an int inside it past the digit limit.  Error
+    messages write their values through it."""
     if isinstance(value, tuple):
         parts = [_exact(v) for v in value]
         return f"({', '.join(parts)}{',' * (len(parts) == 1)})"
     try:
         return format_term(operator.index(value))
     except TypeError:
+        pass
+    try:
         return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an int past the digit limit"
 
 
 def _as_int(value, name: str) -> int:
@@ -75,7 +80,7 @@ def _as_int(value, name: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_exact(value)}") from None
 
 
 def _expect(value, kind: type, name: str) -> None:
@@ -99,7 +104,7 @@ def _coordinates(value, what: str, d: int | None = None, against: str = "dimensi
     return coords
 
 
-def _rows(rows, d: int, what: str, against: str = "dimension") -> np.ndarray:
+def _rows(rows, d: int, what: str, against: str) -> np.ndarray:
     """``rows``, an (n, d) array or any iterable of coordinate sequences, as
     an (n, d) integer array; zero rows, of any width and dtype, are no rows.
 
@@ -149,11 +154,11 @@ class NeighborhoodSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
-            raise DomainError(f"family must be a Family, got {self.family!r}")
+            raise DomainError(f"family must be a Family, got {_exact(self.family)}")
         for name in ("sharp_k", "sharp_r"):
             if type(flag := getattr(self, name)) is not bool:
                 if not isinstance(flag, np.bool_):
-                    raise DomainError(f"{name} must be a bool, got {flag!r}")
+                    raise DomainError(f"{name} must be a bool, got {_exact(flag)}")
                 object.__setattr__(self, name, bool(flag))
         for name in ("dimension", "r") if self.k is None else ("dimension", "k", "r"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
@@ -325,6 +330,18 @@ def enumerate_offsets(spec: NeighborhoodSpec) -> list[Offset]:
     return list(zip(*offset_array(spec).T.tolist()))
 
 
+def _box_points(d: int, r: int) -> int:
+    """(2r+1)^d, the points of the box [-r, r]^d; CapacityError past
+    DEFAULT_BOX_CAP.  A power past DEFAULT_COUNT_BITS bits is named, not made."""
+    if d * (2 * r + 1).bit_length() > DEFAULT_COUNT_BITS:
+        size = f"{_exact(2 * r + 1)}**{_exact(d)}"
+    elif (box := (2 * r + 1) ** d) <= DEFAULT_BOX_CAP:
+        return box
+    else:
+        size = _exact(box)
+    raise CapacityError(f"box of {size} lattice points would exceed the cap of {DEFAULT_BOX_CAP}")
+
+
 def brute_force_count(spec: NeighborhoodSpec) -> int:
     """Count members by scanning every point of the box [-r, r]^d.
 
@@ -335,11 +352,7 @@ def brute_force_count(spec: NeighborhoodSpec) -> int:
     """
     _expect(spec, NeighborhoodSpec, "spec")
     d, r = spec.dimension, spec.r
-    box = (2 * r + 1) ** d
-    if box > DEFAULT_BOX_CAP:
-        raise CapacityError(
-            f"box of {_exact(box)} lattice points would exceed the cap of {DEFAULT_BOX_CAP}"
-        )
+    box = _box_points(d, r)
     found = 0
     for start in range(0, box, _BOX_CHUNK):
         rest = np.arange(start, min(start + _BOX_CHUNK, box), dtype=np.int64)

@@ -20,7 +20,7 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .counting import _count_terms
 from .errors import CapacityError, DomainError, ParseError
-from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact, _text_line, format_term
+from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact, _expect, _text_line, format_term
 
 # text of sequence output joined into one write: a closed pipe shows at the
 # next write, so this bounds what is formatted after the reader has gone
@@ -84,10 +84,8 @@ _SEQUENCES: dict[SequenceId, tuple[int, Callable[[], Iterator[int]]]] = {
 
 
 def _lookup(seq_id: SequenceId) -> tuple[int, Callable[[], Iterator[int]]]:
-    try:
-        return _SEQUENCES[seq_id]
-    except KeyError:
-        raise DomainError(f"unknown sequence id {seq_id!r}") from None
+    _expect(seq_id, SequenceId, "sequence id")  # an unhashable one included
+    return _SEQUENCES[seq_id]
 
 
 def _terms(seq_id: SequenceId, terms: int) -> tuple[int, Iterator[int]]:

@@ -14,6 +14,7 @@ from .errors import DomainError
 from .neighborhoods import (
     NeighborhoodSpec,
     _as_int,
+    _box_points,
     _exact,
     brute_force_count,
     diamond,
@@ -159,13 +160,15 @@ def run_verification(max_d: int = 4, max_k: int | None = None, max_r: int = 3) -
     """All cross-checks over the given ranges, max_k defaulting to max_d.
 
     A range below 1 would check nothing, and nothing checked is no pass, so
-    it raises DomainError.
+    it raises DomainError.  A range whose largest box, (2 max_r + 1)^max_d,
+    the oracle check could not scan raises CapacityError before any check.
     """
     max_d, max_r = _as_int(max_d, "max_d"), _as_int(max_r, "max_r")
     max_k = max_d if max_k is None else _as_int(max_k, "max_k")
     for name, value in ("max_d", max_d), ("max_k", max_k), ("max_r", max_r):
         if value < 1:
             raise DomainError(f"{name} must be >= 1, got {_exact(value)}")
+    _box_points(max_d, max_r)  # the oracle check's last box scan would refuse it: refuse it first
     return [
         check_sharp_k_formula_vs_recurrence(max_d),
         check_k_formula_vs_recurrence(max_d),

@@ -254,6 +254,40 @@ def test_count_past_the_bit_cap_is_capacity_error():
     assert count(diamond(huge, 1)) == 2 * huge
 
 
+# Each of these once ran for seconds to forever, or raised OverflowError,
+# where count refused its spec at once.
+CAPPED = {
+    "k_count": lambda: k_count(10**6, 10**6),
+    "diamond_count": lambda: diamond_count(10**6, 10**6),
+    "diamond_sharp_count": lambda: diamond_sharp_count(10**6, 10**6),
+    "k_radius_count": lambda: k_radius_count(10**6, 10**6, 2),
+    "moore_radius_count": lambda: moore_radius_count(10**30, 5),
+    "moore_radius_sharp_count": lambda: moore_radius_sharp_count(10**30, 5),
+    "sharp_k_count": lambda: sharp_k_count(10**30, 10**30),
+    "binomial": lambda: binomial(10**30, 10**15),
+    "delannoy-wide": lambda: delannoy(5, 10**30),
+    "delannoy-tall": lambda: delannoy(10**30, 5),
+    "delannoy-25-bits": lambda: delannoy(10**7, 1),
+}
+
+
+@pytest.mark.parametrize("site", list(CAPPED))
+def test_every_count_is_capped(site):
+    with pytest.raises(CapacityError):
+        CAPPED[site]()
+
+
+def test_caps_leave_room_below_them():
+    assert binomial(10**30, 2) == 10**30 * (10**30 - 1) // 2
+    assert binomial(10**30, 10**30 - 1) == 10**30 and binomial(3, 10**30) == 0
+    assert sharp_k_count(10**30, 1) == 2 * 10**30
+    assert moore_radius_count(1, 10**30) == 2 * 10**30
+    # the Delannoy table holds at most 2**20 cells, (d+1)(r+1)
+    assert delannoy(1, 2**19 - 1) == 2**20 - 1
+    with pytest.raises(CapacityError, match="Delannoy table of 1048578 cells"):
+        delannoy(1, 2**19)
+
+
 @pytest.mark.parametrize(
     "spec", [k_radius(9100, 9100, 2, sharp_r=True), diamond(8000, 8000, sharp_r=True)], ids=["k-radius", "diamond"]
 )

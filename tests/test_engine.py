@@ -133,6 +133,92 @@ def test_make_grid_refuses_non_integers(dims, cells):
         make_grid(dims, live_cells=cells)
 
 
+# Rows that are live cells of a 5x4 grid and offsets on its torus alike
+ROWS = [(0, 1), (2, 3), (1, 1)]
+ROW_FORMS = {
+    "list": list,
+    "generator": lambda rows: (tuple(row) for row in rows),
+    "lists": lambda rows: [list(row) for row in rows],
+    "numpy-scalars": lambda rows: [tuple(map(np.int16, row)) for row in rows],
+    "int8": lambda rows: np.array(rows, dtype=np.int8),
+    "int64": lambda rows: np.array(rows, dtype=np.int64),
+    "uint64": lambda rows: np.array(rows, dtype=np.uint64),
+    "int64-fortran": lambda rows: np.asfortranarray(np.array(rows, dtype=np.int64)),
+    "object": lambda rows: np.array(rows, dtype=object),
+}
+
+
+@pytest.mark.parametrize("form", list(ROW_FORMS))
+def test_make_grid_and_step_read_every_row_form_alike(form):
+    grid = make_grid((5, 4), live_cells=ROWS)
+    rule = Rule(frozenset({1}), frozenset({1, 2}))
+    assert make_grid((5, 4), live_cells=ROW_FORMS[form](ROWS)) == grid
+    assert step(grid, rule, ROW_FORMS[form](ROWS)) == step(grid, rule, ROWS)
+
+
+def test_make_grid_and_step_read_bool_rows_alike():
+    grid, rule = make_grid((3, 3), live_cells=[(1, 1)]), Rule(frozenset({1}), frozenset())
+    # a Python bool is an int; a numpy bool is not an integer for operator.index
+    assert make_grid((3, 3), live_cells=[(True, False)]) == make_grid((3, 3), live_cells=[(1, 0)])
+    assert step(grid, rule, [(True, False)]) == step(grid, rule, [(1, 0)])
+    with pytest.raises(DomainError, match="cell component must be an integer"):
+        make_grid((3, 3), live_cells=np.array([[True, False]]))
+    with pytest.raises(DomainError, match="offset component must be an integer"):
+        step(grid, rule, np.array([[True, False]]))
+
+
+@pytest.mark.parametrize("form", ["list", "generator", "object"])
+def test_make_grid_and_step_read_components_past_int64_exactly(form):
+    # 2**64 + 1 is 1 on an axis of 4, and 2**63 on an axis of 5 is 3: a
+    # torus folds them exactly, and a grid names them as given
+    big = [(2**63, 2**64 + 1), (0, 1)]
+    grid, rule = make_grid((5, 4), live_cells=ROWS), Rule(frozenset({1}), frozenset({1, 2}))
+    assert step(grid, rule, ROW_FORMS[form](big)) == step(grid, rule, [(3, 1), (0, 1)])
+    with pytest.raises(BoundsError) as exc:
+        make_grid((5, 4), live_cells=ROW_FORMS[form](big))
+    assert str(exc.value) == "cell (9223372036854775808, 18446744073709551617) outside grid of dims (5, 4)"
+
+
+@pytest.mark.parametrize("form", ["list", "generator", "object"])
+def test_make_grid_and_step_name_a_ragged_row_alike(form):
+    ragged = [(0, 0), (1, 1, 1)]
+    grid = make_grid((3, 3))
+    with pytest.raises(DimensionError) as exc:
+        make_grid((3, 3), live_cells=ROW_FORMS[form](ragged))
+    assert str(exc.value) == "cell (1, 1, 1) does not match grid dimension 2"
+    with pytest.raises(DimensionError) as exc:
+        step(grid, LIFE, ROW_FORMS[form](ragged))
+    assert str(exc.value) == "offset (1, 1, 1) does not match grid dimension 2"
+
+
+EMPTY_ROWS = {
+    "list": list, "tuple": tuple, "iterator": lambda: iter([]),
+    "float-0": lambda: np.zeros((0,)), "float-0x2": lambda: np.zeros((0, 2)),
+    "bool-0x5": lambda: np.zeros((0, 5), dtype=bool), "str-0": lambda: np.zeros((0,), dtype="U1"),
+    "int8-0x3": lambda: np.zeros((0, 3), dtype=np.int8), "object-0x2": lambda: np.zeros((0, 2), dtype=object),
+}
+
+
+@pytest.mark.parametrize("empty", list(EMPTY_ROWS))
+def test_make_grid_and_step_read_zero_rows_of_any_width_and_dtype(empty):
+    grid, rule = make_grid((3, 3), live_cells=[(1, 1)]), Rule(frozenset({0}), frozenset())
+    assert population(make_grid((3, 3), live_cells=EMPTY_ROWS[empty]())) == 0
+    # with no offsets every count is 0: B0 makes every dead cell live
+    stepped = step(grid, rule, EMPTY_ROWS[empty]())
+    assert live_cells(stepped) == [(r, c) for r in range(3) for c in range(3) if (r, c) != (1, 1)]
+
+
+def test_grid_reads_its_dims_as_make_grid_does():
+    states = np.zeros((5, 5), dtype=np.uint8)
+    grid = engine.Grid((np.int64(5), np.uint8(5)), states)
+    assert grid.dims == (5, 5) and all(type(n) is int for n in grid.dims)
+    assert render_snapshot(grid) == "\n".join(["....."] * 5)
+    with pytest.raises(DomainError, match="grid dims component must be an integer, got 5.0"):
+        engine.Grid((5.0, 5.0), states)
+    with pytest.raises(DimensionError, match="grid dims 5 is not a coordinate sequence"):
+        engine.Grid(5, states)
+
+
 def test_live_cells_and_snapshots_match_per_cell_expressions():
     rng = np.random.default_rng(17)
     for dims in [(64, 64), (40,), (300,), (6, 5, 4), (5, 4, 3, 3, 4)]:

@@ -1,5 +1,11 @@
+import inspect
+import io
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import nbhd
 
@@ -92,6 +98,20 @@ WRONG_TYPE_SITES = {
     "format-offset-bare": (nbhd.DimensionError, lambda: nbhd.format_offset(5)),
     "make-grid-bare-cells": (nbhd.DimensionError, lambda: nbhd.make_grid((3, 3), live_cells=5)),
     "make-grid-0d-cells": (nbhd.DimensionError, lambda: nbhd.make_grid((3, 3), live_cells=np.array(5))),
+    # every coordinate sequence is read through one reader
+    "make-grid-bare-dims": (nbhd.DimensionError, lambda: nbhd.make_grid(5)),
+    "grid-bare-dims": (nbhd.DimensionError, lambda: nbhd.Grid(5, _GRID.states)),
+    "grid-float-dims": (nbhd.DomainError, lambda: nbhd.Grid((5.0, 5.0), _BLINKER.states)),
+    "step-bare-offsets": (nbhd.DimensionError, lambda: nbhd.step(_GRID, _LIFE, 5)),
+    # an unhashable sequence id
+    "generate-list-id": (nbhd.DomainError, lambda: nbhd.generate([1], 5)),
+    "emit-bfile-list-id": (nbhd.DomainError, lambda: nbhd.emit_bfile([1], 5, io.BytesIO())),
+    "diff-list-id": (nbhd.DomainError, lambda: nbhd.diff_against_reference([1], ["0 0"])),
+    "load-pattern-nul": (nbhd.ParseError, lambda: nbhd.load_pattern("cells\0.txt")),
+    # powers too big to make: a box scan, and the box of verify's last scan
+    "box-scan-huge-d": (nbhd.CapacityError, lambda: nbhd.brute_force_count(nbhd.moore(HUGE))),
+    "verify-huge-d": (nbhd.CapacityError, lambda: nbhd.run_verification(HUGE)),
+    "verify-huge-r": (nbhd.CapacityError, lambda: nbhd.run_verification(1, 1, HUGE)),
 }
 
 
@@ -117,3 +137,58 @@ def test_flags_are_stored_as_python_bools():
     assert type(spec.sharp_k) is bool and type(spec.sharp_r) is bool
     assert spec == nbhd.k_radius(3, 2, sharp_k=True)
     assert nbhd.count(spec) == 12
+
+
+# ---------------------------------------------------------------- API fuzz
+
+# Enum classes, named tuples, CheckResult and the Offset alias are records,
+# not readers; the error classes are what the readers raise.
+_RECORDS = {"Boundary", "Family", "SequenceId", "Mismatch", "SequenceEntry", "CheckResult", "Offset"}
+_PACKAGE_ERRORS = (nbhd.BoundsError, nbhd.CapacityError, nbhd.DimensionError, nbhd.DomainError, nbhd.ParseError)
+_READERS = sorted(
+    name for name in nbhd.__all__
+    if name not in _RECORDS and not (isinstance(getattr(nbhd, name), type) and issubclass(getattr(nbhd, name), Exception))
+)
+_SMALL = st.integers(-1, 3)
+_NUMBERS = st.one_of(_SMALL, st.sampled_from([
+    HUGE, -HUGE, 2**63, -(2**63) - 1, np.int8(-3), np.int64(2), np.uint64(2**64 - 1),
+    np.float64(2.0), np.True_, 1.5, float("nan"), True, None,
+]))
+_TEXT = st.one_of(st.text(max_size=6), st.binary(max_size=6), st.sampled_from(["B3/S23", "1,2", "0 0", "A005843"]))
+_ARRAYS = st.sampled_from([
+    np.zeros(()), np.zeros(3, np.int64), np.zeros((2, 3)), np.zeros((0, 2)), np.ones((4, 4), np.uint8),
+    np.zeros((5, 5), bool), np.full((2, 2), 2, np.uint8), np.array([[1.5, 2.0]]), np.array([["a", "b"]]),
+])
+_OBJECTS = st.one_of(st.builds(io.BytesIO), st.sampled_from([
+    nbhd.moore(2), nbhd.diamond(2, 3, sharp_r=True), nbhd.moore(HUGE), nbhd.von_neumann(HUGE), _GRID, _BLINKER,
+    _LIFE, nbhd.SequenceId.A008288, nbhd.Boundary.FIXED_DEAD, nbhd.Family.DIAMOND, frozenset({2, 3}), _MOORE2,
+]))
+_ATOMS = st.one_of(_NUMBERS, _TEXT, _ARRAYS, _OBJECTS)
+_VALUES = st.one_of(
+    _ATOMS, st.tuples(_NUMBERS, _NUMBERS), st.lists(_ATOMS, max_size=3), st.lists(st.tuples(_NUMBERS, _NUMBERS), max_size=3)
+)
+
+
+@settings(deadline=None, max_examples=500, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_public_reader_returns_or_raises_a_package_error(data):
+    name = data.draw(st.sampled_from(_READERS), label="reader")
+    reader = getattr(nbhd, name)
+    params = list(inspect.signature(reader).parameters.values())
+    positional = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    required = sum(p.default is p.empty for p in positional)
+    args = [data.draw(_VALUES, label=p.name) for p in positional[: data.draw(st.integers(required, len(positional)))]]
+    kwargs = {p.name: data.draw(_VALUES, label=p.name) for p in params
+              if p.kind is p.KEYWORD_ONLY and data.draw(st.booleans())}
+    if name == "run" and len(args) > 3:
+        # as in the argv fuzz, a huge step count is a valid request for a run
+        # that does not end in practice; every other reader is bounded
+        args[3] = data.draw(st.one_of(_SMALL, _TEXT, _ARRAYS), label="steps")
+    try:
+        reader(*args, **kwargs)
+        event(f"{name} returned")
+    except _PACKAGE_ERRORS as exc:
+        event(f"{name} {type(exc).__name__}")
+    except OSError:
+        # a path that cannot be read is the file system's error
+        assert name == "load_pattern" and isinstance(args[0], (str, pathlib.Path))
