@@ -14,6 +14,10 @@ radius generalizations:
 The center cell (the all-zero offset) is never a member of any
 neighborhood.  All types here are immutable values and all functions are
 pure, so everything is safe to share between threads.
+
+Every coordinate sequence a caller hands the package, an offset, a live cell
+or a grid's dims, is read by _coordinates, and rows of them (live cells,
+step's offsets) by _rows, which reads each bad row through _coordinates.
 """
 
 from __future__ import annotations
