@@ -62,10 +62,10 @@ class Boundary(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """``dims`` is read as make_grid reads it and stored as Python ints.
-    ``states`` is an array of shape ``dims``, 0 dead and 1 live, in any
-    memory layout: uint8 holding only 0 and 1, or bool.  Any other type or
-    value raises DomainError, and another shape DimensionError."""
+    """``dims`` is read, and refused, as make_grid reads it, and stored as
+    Python ints.  ``states`` is an array of shape ``dims``, 0 dead and 1
+    live, in any memory layout: uint8 holding only 0 and 1, or bool.  Any
+    other type or value raises DomainError, and another shape DimensionError."""
 
     dims: tuple[int, ...]
     states: np.ndarray
@@ -74,7 +74,7 @@ class Grid:
     def __post_init__(self) -> None:
         if not isinstance(self.boundary, Boundary):
             raise DomainError(f"boundary must be a Boundary, got {_exact(self.boundary)}")
-        object.__setattr__(self, "dims", _coordinates(self.dims, "grid dims"))
+        object.__setattr__(self, "dims", _grid_dims(self.dims))
         states = self.states
         if not isinstance(states, np.ndarray) or states.dtype not in (np.uint8, np.bool_):
             kind = states.dtype if isinstance(states, np.ndarray) else type(states).__name__
@@ -162,6 +162,18 @@ def format_rule(rule: Rule) -> str:
 _MAX_AXES = 64  # numpy's limit on an array's dimensions
 
 
+def _grid_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """``dims`` as Grid and make_grid read them: 1 to _MAX_AXES ints >= 1, of at most DEFAULT_CELL_CAP cells."""
+    dims = _coordinates(dims, "grid dims")
+    if not dims or any(n < 1 for n in dims):
+        raise DomainError(f"grid dims must be positive, got {_exact(dims)}")
+    if len(dims) > _MAX_AXES:
+        raise DimensionError(f"grid of {len(dims)} axes exceeds numpy's limit of {_MAX_AXES}")
+    if (cells := math.prod(dims)) > DEFAULT_CELL_CAP:
+        raise CapacityError(f"grid of {_exact(cells)} cells would exceed the cap of {DEFAULT_CELL_CAP}")
+    return dims
+
+
 def make_grid(
     dims: Sequence[int],
     boundary: Boundary = Boundary.TOROIDAL,
@@ -171,21 +183,14 @@ def make_grid(
 
     ``live_cells`` are rows read as step reads offsets: an (n, d) integer
     array, as load_pattern returns, or any iterable of coordinate sequences;
-    zero rows mean no live cells, whatever their width and dtype.  A
-    non-integer dim or coordinate, or a boundary that is not a Boundary,
-    raises DomainError.  More than 64 dims (numpy's limit), a bare number in
-    place of a sequence, or a cell of other than ``len(dims)`` components,
-    raises DimensionError; the first cell outside the grid (a coordinate
-    outside int64 included) raises BoundsError.
+    zero rows mean none live.  No dims, a dim below 1, a non-integer dim or
+    coordinate, or a boundary that is not a Boundary, raises DomainError, as
+    Grid does.  More than 64 dims (numpy's limit), a bare number in place of
+    a sequence, or a cell of other than ``len(dims)`` components, raises
+    DimensionError; the first cell outside the grid (a coordinate outside
+    int64 included) raises BoundsError.
     """
-    dims = _coordinates(dims, "grid dims")
-    if not dims or any(n < 1 for n in dims):
-        raise DomainError(f"grid dims must be positive, got {_exact(dims)}")
-    if len(dims) > _MAX_AXES:
-        raise DimensionError(f"grid of {len(dims)} axes exceeds numpy's limit of {_MAX_AXES}")
-    cells = math.prod(dims)
-    if cells > DEFAULT_CELL_CAP:
-        raise CapacityError(f"grid of {_exact(cells)} cells would exceed the cap of {DEFAULT_CELL_CAP}")
+    dims = _grid_dims(dims)
     coords = _rows(live_cells, len(dims), "cell", "grid dimension")
     states = np.zeros(dims, dtype=np.uint8)
     if len(coords):
@@ -223,16 +228,13 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     are rows read as make_grid reads cells, an (n, d) integer array or
     coordinate sequences, each component through operator.index: a numpy
     integer is a Python int, a non-integer a DomainError, and a bare number
-    or an offset of another length a DimensionError.  A padded copy of more
-    than DEFAULT_CELL_CAP cells raises CapacityError before it is made.  A
-    grid or rule of another type raises DomainError.
+    or an offset of another length a DimensionError.  A grid or rule of
+    another type, or a rule count above len(offsets), raises DomainError; a
+    padded copy of more than DEFAULT_CELL_CAP cells CapacityError.
     """
-    _expect(grid, Grid, "grid")
-    _expect(rule, Rule, "rule")
     # as ints before the plan's cache key is made: 1.0 == 1 and hashes alike
-    offsets = tuple(map(tuple, _rows(offsets, len(grid.dims), "offset", "grid dimension").tolist()))
+    offsets = tuple(map(tuple, _step_rows(grid, rule, offsets).tolist()))
     n = len(offsets)
-    rule.check_fits(n)
 
     runs, table = _lookup(rule, n)
     # count + state per cell, flat in C order whatever the grid's layout; a
@@ -255,6 +257,15 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     stepped = copy.copy(grid)
     object.__setattr__(stepped, "states", states.reshape(grid.dims))
     return stepped
+
+
+def _step_rows(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> np.ndarray:
+    """``offsets`` as step and run read them, an (n, d) integer array, once the grid, rule and n are checked."""
+    _expect(grid, Grid, "grid")
+    _expect(rule, Rule, "rule")
+    rows = _rows(offsets, len(grid.dims), "offset", "grid dimension")
+    rule.check_fits(len(rows))
+    return rows
 
 
 _BLOCK = 2**16  # cells whose key is made or looked up at once
@@ -439,17 +450,17 @@ def run(
     steps: int,
     observer: Callable[[int, int], None] | None = None,
 ) -> Grid:
-    """Apply step exactly ``steps`` times.
+    """Apply step exactly ``steps`` times, reading ``offsets`` once.
 
-    After each step the observer (if any) receives the 1-based step index and
-    the population.  steps=0 returns the input grid unchanged.  An observer
-    that is not callable raises DomainError before the first step.
+    What step refuses, or an observer that is not callable, raises before
+    step 1, so also at steps=0, which returns ``grid`` unchanged.  After
+    step i the observer (if any) receives i and the population.
     """
     if (steps := _as_int(steps, "steps")) < 0:
         raise DomainError(f"steps must be >= 0, got {_exact(steps)}")
     if observer is not None and not callable(observer):
         raise DomainError(f"observer must be callable, got {type(observer).__name__}")
-    current = grid
+    offsets, current = _step_rows(grid, rule, offsets), grid
     for i in range(1, steps + 1):
         current = step(current, rule, offsets)
         if observer is not None:

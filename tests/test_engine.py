@@ -356,6 +356,25 @@ def test_run_reads_steps_as_specs_read_integers():
     assert run(grid, LIFE, MOORE2, np.int8(2)) == run(grid, LIFE, MOORE2, 2)
 
 
+@pytest.mark.parametrize("steps", [0, 5])
+def test_run_reads_its_offsets_once_and_calls_engine_step_per_step(monkeypatch, steps):
+    class Counted(list):
+        reads = 0
+
+        def __iter__(self):
+            self.reads += 1
+            return super().__iter__()
+
+    offsets, calls, real_step = Counted(MOORE2), [], engine.step
+    monkeypatch.setattr(engine, "step", lambda g, rule, offs: calls.append(len(offs)) or real_step(g, rule, offs))
+    grid = make_grid((8, 8), Boundary.TOROIDAL, GLIDER)
+    out = run(grid, LIFE, offsets, steps)
+    assert offsets.reads == 1
+    assert calls == [len(MOORE2)] * steps
+    # a generator is read once too, so every step sees all of it
+    assert run(grid, LIFE, iter(MOORE2), steps) == out == run(grid, LIFE, MOORE2, steps)
+
+
 def test_empty_rule_kills_everything():
     grid = make_grid((4, 4), live_cells=[(0, 0), (1, 1), (3, 2)])
     out = step(grid, Rule(frozenset(), frozenset()), MOORE2)

@@ -103,6 +103,12 @@ WRONG_TYPE_SITES = {
     "grid-bare-dims": (nbhd.DimensionError, lambda: nbhd.Grid(5, _GRID.states)),
     "grid-float-dims": (nbhd.DomainError, lambda: nbhd.Grid((5.0, 5.0), _BLINKER.states)),
     "step-bare-offsets": (nbhd.DimensionError, lambda: nbhd.step(_GRID, _LIFE, 5)),
+    # Grid refuses the dims make_grid refuses, and run, at any steps, what step refuses
+    "grid-empty-axis": (nbhd.DomainError, lambda: nbhd.Grid((0, 5), np.zeros((0, 5), np.uint8))),
+    "grid-no-dims": (nbhd.DomainError, lambda: nbhd.Grid((), np.zeros((), np.uint8))),
+    "run-zero-steps-grid-int": (nbhd.DomainError, lambda: nbhd.run(5, 6, 7, 0)),
+    "run-zero-steps-offset-width": (nbhd.DimensionError, lambda: nbhd.run(_GRID, _LIFE, [(0, 1, 2)], 0)),
+    "run-zero-steps-rule-past-n": (nbhd.DomainError, lambda: nbhd.run(_GRID, nbhd.parse_rule("B9/S"), _MOORE2, 0)),
     # an unhashable sequence id
     "generate-list-id": (nbhd.DomainError, lambda: nbhd.generate([1], 5)),
     "emit-bfile-list-id": (nbhd.DomainError, lambda: nbhd.emit_bfile([1], 5, io.BytesIO())),
