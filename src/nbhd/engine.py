@@ -136,12 +136,9 @@ def parse_rule(text: str) -> Rule:
         raise ParseError(f"rule must look like B3/S23, got {text!r}")
 
     def counts(part: str) -> frozenset[int]:
-        if not part:
-            return frozenset()
+        fields = part.removesuffix(",").split(",") if "," in part else list(part)
         try:
-            if "," in part:
-                return frozenset(int(f) for f in part.removesuffix(",").split(","))
-            return frozenset(int(ch) for ch in part)
+            return frozenset(map(int, fields))
         except ValueError:
             raise ParseError(f"bad counts {part!r} in rule {text!r}") from None
 
@@ -193,18 +190,17 @@ def make_grid(
     dims = _grid_dims(dims)
     coords = _rows(live_cells, len(dims), "cell", "grid dimension")
     states = np.zeros(dims, dtype=np.uint8)
-    if len(coords):
-        # bounds first: a cell past int64 (uint64, or Python ints) is named as given
-        outside = ((coords < 0) | (coords >= dims)).any(axis=1)
-        if outside.any():
-            cell = tuple(coords[outside.argmax()].tolist())
-            raise BoundsError(f"cell {_exact(cell)} outside grid of dims {_exact(dims)}")
-        # one flat index per cell: numpy takes at most 63 index arrays
-        flat = np.zeros(len(coords), dtype=np.int64)
-        for column, n in zip(coords.astype(np.int64, copy=False).T, dims):
-            flat *= n
-            flat += column
-        states.reshape(-1)[flat] = 1
+    # bounds first: a cell past int64 (uint64, or Python ints) is named as given
+    outside = ((coords < 0) | (coords >= dims)).any(axis=1)
+    if outside.any():
+        cell = tuple(coords[outside.argmax()].tolist())
+        raise BoundsError(f"cell {_exact(cell)} outside grid of dims {_exact(dims)}")
+    # one flat index per cell: numpy takes at most 63 index arrays
+    flat = np.zeros(len(coords), dtype=np.int64)
+    for column, n in zip(coords.astype(np.int64, copy=False).T, dims):
+        flat *= n
+        flat += column
+    states.reshape(-1)[flat] = 1
     return Grid(dims, states, boundary)
 
 

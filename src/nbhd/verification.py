@@ -83,8 +83,9 @@ def check_partial_sum_identity(max_d: int) -> CheckResult:
 def check_moore_shell_identity(max_d: int, max_r: int) -> CheckResult:
     result = CheckResult("moore shell sums equal the filled count")
     for d in range(1, max_d + 1):
+        shells = 0  # the shells 1..r, summed as r grows
         for r in range(1, max_r + 1):
-            shells = sum(counting.moore_radius_sharp_count(d, l) for l in range(1, r + 1))
+            shells += counting.moore_radius_sharp_count(d, r)
             filled = counting.moore_radius_count(d, r)
             result.record(shells == filled, f"d={d}, r={r}: {shells} != {filled}")
     return result
@@ -103,7 +104,9 @@ def check_diamond_formula_vs_recurrence(max_d: int, max_r: int) -> CheckResult:
 def check_delannoy_identities(max_d: int, max_r: int) -> CheckResult:
     result = CheckResult("delannoy symmetry and center-cell identities")
     for d in range(1, max_d + 1):
+        shells = 0  # the shells 1..r, summed as r grows
         for r in range(1, max_r + 1):
+            shells += counting.diamond_sharp_count(d, r)
             dl = counting.delannoy(d, r)
             result.record(
                 dl == counting.delannoy(r, d), f"delannoy({d},{r}) not symmetric"
@@ -112,7 +115,6 @@ def check_delannoy_identities(max_d: int, max_r: int) -> CheckResult:
             result.record(
                 dl == filled + 1, f"delannoy({d},{r})={dl} != diamond_count+1={filled + 1}"
             )
-            shells = sum(counting.diamond_sharp_count(d, l) for l in range(1, r + 1))
             result.record(
                 dl == 1 + shells, f"delannoy({d},{r})={dl} != 1+shell sum={1 + shells}"
             )

@@ -16,7 +16,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import nbhd
-from nbhd import cli, diamond, engine, enumerate_offsets, format_offset, k_radius, load_pattern, moore
+from nbhd import cli, counting, diamond, engine, enumerate_offsets, format_offset, k_radius, load_pattern, moore
+from nbhd import verification
 from nbhd.cli import main
 from nbhd.neighborhoods import DEFAULT_TERM_CAP, Family
 from nbhd.sequences import SequenceId, format_term
@@ -343,6 +344,20 @@ def test_run_verification_refuses_a_range_that_checks_nothing(ranges, message):
     with pytest.raises(DomainError, match=message):
         run_verification(*ranges)
     assert all(result.ok and result.cases for result in run_verification(2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "check, shell, cases",
+    [("check_moore_shell_identity", "moore_radius_sharp_count", 50),
+     ("check_delannoy_identities", "diamond_sharp_count", 150)],
+)
+def test_shell_sum_checks_count_each_shell_once(monkeypatch, check, shell, cases):
+    # a running sum per d; summing the shells 1..r afresh made 1275 calls
+    real, calls = getattr(counting, shell), []
+    monkeypatch.setattr(counting, shell, lambda d, r: calls.append((d, r)) or real(d, r))
+    result = getattr(verification, check)(1, 50)
+    assert (result.ok, result.cases) == (True, cases)
+    assert calls == [(1, r) for r in range(1, 51)]
 
 
 # ---------------------------------------------------------------- simulate
