@@ -456,12 +456,12 @@ def run(
         raise DomainError(f"steps must be >= 0, got {_exact(steps)}")
     if observer is not None and not callable(observer):
         raise DomainError(f"observer must be callable, got {type(observer).__name__}")
-    offsets, current = _step_rows(grid, rule, offsets), grid
+    offsets = _step_rows(grid, rule, offsets)
     for i in range(1, steps + 1):
-        current = step(current, rule, offsets)
+        grid = step(grid, rule, offsets)
         if observer is not None:
-            observer(i, population(current))
-    return current
+            observer(i, population(grid))
+    return grid
 
 
 # --------------------------------------------------------------------------
