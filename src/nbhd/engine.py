@@ -10,23 +10,25 @@ fixed-dead grid), and every count is a sum of views of that copy.
 
 Every offset list is summed one way.  Read axis by axis, the offsets form a
 tree whose nodes are sub-neighbourhoods that many offsets share, and
-_count_plan adds each shared sub-sum once.  For a k-radius list that is the
-paper's row recurrence T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) as ring sums
-(25 views in 7 sums for k_radius(5, 3, 1), against 130 offsets), for a
-diamond the Delannoy recurrence D(d, r) = D(d-1, r) + D(d-1, r-1) + D(d, r-1)
-(45 views for diamond(2, 5), against 60), and for a list with no shared
+_count_plan adds each shared sub-sum once, and builds a sum from a smaller
+one on its axis that it contains.  For a k-radius list that is the paper's
+row recurrence T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) as ring sums (25 views
+in 7 sums for k_radius(5, 3, 1), against 130 offsets), for a diamond the
+layers |D(1, m)| = |D(1, m-1)| + 2 under the Delannoy recurrence (26 views
+in 6 sums for diamond(2, 5), against 60), and for a list with no shared
 parts one view per offset.  Offsets that fold onto one cell of a small torus
 are one view, multiplied.
 
 A cell's next state depends on its key count + (|N|+1)*state.  The plan's
-sums make count + state in the narrowest unsigned type that holds the
-largest key 2|N| + 1 (uint8 up to |N| = 127, uint16 up to 32767, uint32
-above), and a block of cells at a time adds |N|*state.  Birth counts are
-keys 0..|N| and survival counts keys |N|+1..2|N|+1, so a rule that is a
-span of birth counts and one of survival counts, as most are, is two runs
-of live keys.  Each run [a, b] is one compare (key - a) <= b - a in the
-key's own type.  Past _MAX_RUNS runs, where that costs more than a gather,
-the next state is gathered from a table with np.take instead.
+sums make count + state <= |N| + 1 in the narrowest unsigned type that
+holds it (uint8 up to |N| = 254, uint16 up to 65534, uint32 above), and a
+block of cells at a time widens to the type of the largest key 2|N| + 1
+(uint8 up to |N| = 127, uint16 up to 32767) as it adds |N|*state.  Birth
+counts are keys 0..|N| and survival counts keys |N|+1..2|N|+1, so a rule
+that is a span of birth counts and one of survival counts, as most are, is
+two runs of live keys.  Each run [a, b] is one compare (key - a) <= b - a
+in the key's own type.  Past _MAX_RUNS runs, where that costs more than a
+gather, the next state is gathered from a table with np.take instead.
 
 Grids are immutable values from the caller's perspective: step always
 returns a fresh grid and never writes to an existing one.
@@ -228,26 +230,27 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     another type, or a rule count above len(offsets), raises DomainError; a
     padded copy of more than DEFAULT_CELL_CAP cells CapacityError.
     """
-    # as ints before the plan's cache key is made: 1.0 == 1 and hashes alike
-    offsets = tuple(map(tuple, _step_rows(grid, rule, offsets).tolist()))
+    rows, tuples = _run_rows  # what run read and checked, as int tuples once
+    offsets = tuples if offsets is rows else _offset_tuples(_step_rows(grid, rule, offsets))
     n = len(offsets)
 
     runs, table = _lookup(rule, n)
     # count + state per cell, flat in C order whatever the grid's layout; a
-    # block at a time it becomes the key count + (n+1)*state, then the next
-    # state
-    key, alive = _index(grid, offsets).reshape(-1), grid.states.reshape(-1)
-    states = np.empty(key.size, dtype=np.uint8)
-    part = np.empty(min(key.size, _BLOCK), dtype=key.dtype)
-    scratch = np.empty(min(key.size, _BLOCK), dtype=bool)
-    for start in range(0, key.size, _BLOCK):
+    # block at a time it becomes the key count + (n+1)*state in the key's
+    # wider type, then the next state
+    count, alive = _index(grid, offsets).reshape(-1), grid.states.reshape(-1)
+    states = np.empty(count.size, dtype=np.uint8)
+    part = np.empty(min(count.size, _BLOCK), dtype=np.min_scalar_type(2 * n + 1))
+    scratch = np.empty(min(count.size, _BLOCK), dtype=bool)
+    for start in range(0, count.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        here = key[block]
-        here += np.multiply(alive[block], n, out=part[: here.size], dtype=key.dtype)
+        here = count[block]
+        key = np.multiply(alive[block], n, out=part[: here.size], dtype=part.dtype)
+        key += here
         if table is None:
-            _test_runs(here, runs, states[block].view(bool), scratch)
+            _test_runs(key, runs, states[block].view(bool), scratch)
         else:
-            np.take(table, here, out=states[block])
+            np.take(table, key, out=states[block])
     # states made here are 0 or 1 by construction, so Grid's check of them,
     # a pass over every cell (about 3% of a 1024^2 Life step), is skipped
     stepped = copy.copy(grid)
@@ -262,6 +265,17 @@ def _step_rows(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -
     rows = _rows(offsets, len(grid.dims), "offset", "grid dimension")
     rule.check_fits(len(rows))
     return rows
+
+
+def _offset_tuples(rows: np.ndarray) -> tuple[Offset, ...]:
+    """(n, d) integer rows as int tuples, the key of the plan's cache: as ints,
+    since 1.0 == 1."""
+    return tuple(map(tuple, rows.tolist()))
+
+
+# (rows, tuples): the read-only (n, d) array the latest run made, and its
+# offsets as int tuples, which step takes in place of reading the array
+_run_rows: tuple = (object(), ())
 
 
 _BLOCK = 2**16  # cells whose key is made or looked up at once
@@ -323,13 +337,13 @@ def _index(grid: Grid, offsets: tuple[Offset, ...]) -> np.ndarray:
     """count + state per cell, of the shape of the grid, for ``offsets``, a
     tuple of int tuples.
 
-    Runs _count_plan's sums over one padded copy of the grid.  Counts never
-    exceed n = len(offsets), so the sums are made in the narrowest unsigned
-    type that holds the largest key 2n + 1, which step adds n*state toward.
+    Runs _count_plan's sums over one padded copy of the grid.  A sum never
+    exceeds count + state <= n + 1, n = len(offsets), so the sums are made in
+    the narrowest unsigned type that holds n + 1; step widens a block at a
+    time to the key's type as it adds n*state.
     """
-    n = len(offsets)
     reach, sums = _count_plan(offsets, grid.dims, grid.boundary)
-    dtype = np.min_scalar_type(2 * n + 1)
+    dtype = np.min_scalar_type(len(offsets) + 1)
     arrays = [_padded(grid, reach)]
     for views, drops in sums:
         # a view read ``times`` times is added once, multiplied
@@ -357,7 +371,23 @@ def _padded(grid: Grid, reach: Sequence[int]) -> np.ndarray:
     return np.pad(grid.states, [(p, p) for p in reach], mode=mode)
 
 
-@functools.lru_cache(maxsize=1)  # run steps with one list: every step after the first reuses it
+def _last_call(function: Callable) -> Callable:
+    """``function`` that keeps its last value, for equal arguments: compared,
+    not hashed, so the same tuple again is found at once."""
+    last: list = [((), None)]
+
+    @functools.wraps(function)
+    def cached(*args):
+        given, value = last[0]
+        if given != args:
+            value = function(*args)
+            last[0] = args, value
+        return value
+
+    return cached
+
+
+@_last_call  # run steps with one list: every step after the first reuses it
 def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Boundary) -> tuple:
     """(reach, sums): how _index sums views of the padded grid into counts.
 
@@ -367,7 +397,11 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
     held as ((component, child), multiplicity) entries, and equal nodes are
     one node.  The root, and each node read at least twice with at least two
     entries, is a sum (one array); other nodes are read through their
-    children, so each shared sub-sum is added once.
+    children, so each shared sub-sum is added once.  A sum whose entries
+    hold those of a smaller sum on its axis, its base, is the base plus the
+    entries that remain, and a node read once becomes such a sum when that
+    makes fewer views: a diamond's row segment of half-width w is the one of
+    w - 1 plus 2 views, so diamond(2, 5) is 26 views in 6 sums.
 
     ``reach[i]`` pads axis i on each side.  ``sums[j]`` is (views, drops)
     for array j + 1, array 0 being the padded grid: it adds its views
@@ -410,32 +444,68 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
         for (_, child), _ in entries:
             reads[child] += 1 if is_sum[node] else reads[node]
 
-    # a sum reads an earlier one through the nodes between them, each of
-    # which crops and shifts one axis
-    order = [node for node in range(len(tree)) if is_sum[node]]
-    array_of = {node: j for j, node in enumerate(order)}
-    sums, last_read = [], {}
-    for node in order[1:]:
-        views: Counter = Counter()  # (array, path) -> times
-        stack = [(node, (), 1)]
+    def views_of(axis: int, entries: tuple) -> Counter:
+        """(sum, path) -> times: the sums that ``entries`` on ``axis`` read,
+        through the nodes between, each of which crops and shifts one axis."""
+        views: Counter = Counter()
+        stack = [(axis, entries, (), 1)]
         while stack:
-            at, path, times = stack.pop()
-            axis, entries = tree[at]
+            axis, entries, path, times = stack.pop()
             for (c, child), m in entries:
                 if is_sum[child]:
-                    view = (array_of[child], path + ((axis, c),))
-                    views[view] += times * m
-                    last_read[array_of[child]] = len(sums) + 1
+                    views[child, path + ((axis, c),)] += times * m
                 else:
-                    stack.append((child, path + ((axis, c),), times * m))
+                    stack.append((axis - 1, tree[child][1], path + ((axis, c),), times * m))
+        return views
+
+    # from axis 0 up and the smallest node first, each node takes as its base
+    # the largest sum on its axis whose entries it holds; a sum is filed
+    # under its first entry, which a node must hold to hold all of them
+    size = [sum(m for _, m in entries) for _, entries in tree]
+    nested, filed = {}, defaultdict(list)  # nested: sum -> (base, entries it adds)
+    for node in sorted(range(1, len(tree)), key=lambda node: (tree[node][0], size[node])):
+        axis, entries = tree[node]
+        held = dict(entries)
+        bases = [base for entry in held for base in filed[entry]] if len(held) >= 2 else []
+        for base in sorted(bases, key=size.__getitem__, reverse=True):
+            if all(held.get(entry, 0) >= m for entry, m in tree[base][1]):
+                for entry, m in tree[base][1]:
+                    held[entry] -= m
+                rest = tuple((entry, m) for entry, m in held.items() if m)
+                if is_sum[node] or 1 + len(views_of(axis, rest)) < len(views_of(axis, entries)):
+                    is_sum[node], nested[node] = True, (base, rest)
+                break
+        if is_sum[node]:
+            filed[entries[0][0]].append(node)
+
+    # arrays in node order, a base before the sum built on it
+    array_of: dict[int, int] = {}
+    for node in range(len(tree)):
+        chain = []
+        while node is not None and is_sum[node] and node not in array_of:
+            chain.append(node)
+            node = nested[node][0] if node in nested else None
+        for node in reversed(chain):
+            array_of[node] = len(array_of)
+    sums, last_read = [], {}
+    for node in list(array_of)[1:]:
+        axis, entries = tree[node]
+        views: Counter = Counter()
+        if node in nested:
+            base, entries = nested[node]
+            views[base, ()] = 1  # the base, the same shape as the sum
+        views.update(views_of(axis, entries))
         made = []
-        for (j, path), times in views.items():
+        for (child, path), times in views.items():
             index = [slice(None)] * d
             for i, s in path:
                 index[i] = slice(reach[i] + s, reach[i] + s + dims[i])
-            made.append((j, tuple(index), times))
+            made.append((array_of[child], tuple(index), times))
+            last_read[array_of[child]] = len(sums) + 1
         sums.append(tuple(made))
-    drops = [tuple(j for j, last in last_read.items() if last == k) for k in range(1, len(sums) + 1)]
+    drops: list[list[int]] = [[] for _ in sums]
+    for j, last in last_read.items():
+        drops[last - 1].append(j)
     return reach, tuple(zip(sums, drops))
 
 
@@ -456,9 +526,14 @@ def run(
         raise DomainError(f"steps must be >= 0, got {_exact(steps)}")
     if observer is not None and not callable(observer):
         raise DomainError(f"observer must be callable, got {type(observer).__name__}")
-    offsets = _step_rows(grid, rule, offsets)
+    global _run_rows
+    # a copy of the caller's array, which an observer could write to; the
+    # steps look step up through the module, where a tracer may wrap it
+    rows = np.array(_step_rows(grid, rule, offsets))
+    rows.flags.writeable = False
+    _run_rows = rows, _offset_tuples(rows)
     for i in range(1, steps + 1):
-        grid = step(grid, rule, offsets)
+        grid = step(grid, rule, rows)
         if observer is not None:
             observer(i, population(grid))
     return grid

@@ -8,7 +8,7 @@ from conftest import life_step_reference, neighbour_counts_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbhd import engine
+from nbhd import engine, neighborhoods
 from nbhd import (
     Boundary,
     BoundsError,
@@ -375,6 +375,45 @@ def test_run_reads_its_offsets_once_and_calls_engine_step_per_step(monkeypatch, 
     assert run(grid, LIFE, iter(MOORE2), steps) == out == run(grid, LIFE, MOORE2, steps)
 
 
+def test_run_makes_int_tuples_of_its_rows_once(monkeypatch):
+    # a run's steps take the tuples run made of its own read-only copy of the
+    # rows; a step given any other rows makes its own
+    made, offset_tuples = [], engine._offset_tuples
+    monkeypatch.setattr(engine, "_offset_tuples", lambda rows: made.append(len(rows)) or offset_tuples(rows))
+    grid = make_grid((8, 8), Boundary.TOROIDAL, GLIDER)
+    out = run(grid, LIFE, offset_array(moore(2)), 24)
+    assert made == [8]
+    assert out == run(grid, LIFE, MOORE2, 24)
+    step(grid, LIFE, MOORE2)
+    step(grid, LIFE, np.array(MOORE2))
+    assert made == [8, 8, 8, 8]
+
+
+def test_run_steps_the_offsets_it_was_given_though_an_observer_writes_them():
+    # run keeps its own copy of a caller's array, so writing to that array
+    # mid-run changes nothing
+    offsets = np.array(MOORE2)
+    grid = make_grid((8, 8), Boundary.TOROIDAL, GLIDER)
+    want = run(grid, LIFE, MOORE2, 6)
+
+    def observer(i, population):
+        offsets[:] = 0
+
+    assert run(grid, LIFE, offsets, 6, observer) == want
+
+
+def test_run_reads_offsets_past_int64_once(monkeypatch):
+    # moore(2, 5)'s 120 offsets shifted by 3*2**70, a multiple of 64, are
+    # Python ints, read once through _coordinates for the whole run
+    reads, coordinates = [], neighborhoods._coordinates
+    monkeypatch.setattr(neighborhoods, "_coordinates", lambda *args: reads.append(1) or coordinates(*args))
+    offs = [tuple(c + 3 * 2**70 for c in off) for off in enumerate_offsets(moore(2, 5))]
+    grid, rule = _soup((64, 64), Boundary.TOROIDAL), Rule(frozenset(range(34, 46)), frozenset(range(33, 58)))
+    out = run(grid, rule, offs, 5)
+    assert len(reads) == 120
+    assert out == run(grid, rule, enumerate_offsets(moore(2, 5)), 5)
+
+
 def test_empty_rule_kills_everything():
     grid = make_grid((4, 4), live_cells=[(0, 0), (1, 1), (3, 2)])
     out = step(grid, Rule(frozenset(), frozenset()), MOORE2)
@@ -500,12 +539,14 @@ def test_step_past_255_neighbours_matches_reference_oracle(boundary):
         assert set(live_cells(got)) == want
 
 
-@pytest.mark.parametrize("size", [127, 128, 32767, 32768])
+@pytest.mark.parametrize("size", [127, 128, 254, 255, 32767, 32768, 65534, 65535])
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_step_where_the_count_type_widens_matches_reference_oracle(size, boundary):
-    # counts fit uint8 up to |N| = 127 and uint16 up to 32767; a table index
-    # 2|N| + 1 that wrapped would read (count 0, live), which the rule kills;
-    # on the all-live grid the middle cell reads a live cell through every offset
+    # the keys 0..2|N| + 1 fit uint8 up to |N| = 127 and uint16 up to 32767,
+    # the sums count + state <= |N| + 1 uint8 up to 254 and uint16 up to
+    # 65534; a key 2|N| + 1 that wrapped would read (count 0, live), which
+    # the rule kills; on the all-live grid the middle cell reads a live cell
+    # through every offset
     offs = list(itertools.islice(itertools.cycle([(-1,), (1,)]), size))
     rule = Rule(frozenset({0, size // 2}), frozenset({1, size}))
     toroidal = boundary is Boundary.TOROIDAL
@@ -573,7 +614,8 @@ def test_padded_copy_past_the_cell_cap_is_capacity_error(monkeypatch):
 
 
 def _index_dtype(offs):
-    return np.min_scalar_type(2 * len(offs) + 1)
+    # the sums hold count + state <= |N| + 1; the key's wider type is step's
+    return np.min_scalar_type(len(offs) + 1)
 
 
 def _assert_index_matches_reference(grid, offs):
@@ -628,13 +670,25 @@ def test_index_of_any_offset_list_matches_reference_counts(world, boundary):
 
 @pytest.mark.parametrize(
     "spec, sums, views",
-    [(k_radius(5, 3, 1), 7, 25), (moore(2, 5), 2, 22), (diamond(2, 5), 5, 45), (moore(2), 2, 6)],
-    ids=["k3", "moore5", "diamond5", "life"],
+    [
+        (k_radius(5, 3, 1), 7, 25),
+        (moore(2, 5), 2, 22),
+        (diamond(2, 5), 6, 26),
+        (moore(2), 2, 6),
+        (diamond(3, 3), 6, 30),
+        (k_radius(2, 2, 3, sharp_r=True), 4, 16),
+    ],
+    ids=["k3", "moore5", "diamond5", "life", "diamond3d", "moore-shell3"],
 )
 def test_count_plan_adds_shared_sub_sums_once(spec, sums, views):
-    # Moore sums one line per axis; diamond(2, 5) sums the lines of
-    # half-width 1..4, which two rows each share, and reads the rest through
-    # them; without sharing there would be one view per offset
+    # Moore sums one line per axis, and the k3, Moore-5 and Life plans hold
+    # no sum inside another.  diamond(2, 5) sums the segments of half-width
+    # 1..5, each the one before plus 2 views, and the root reads 11 views
+    # (45 views in 5 sums while each segment was its own sum, read 2 times
+    # or inlined); diamond(3, 3)'s planes nest their segments alike.  The
+    # Moore-3 shell's rows are the pair {-3, 3}, that pair plus the cell
+    # itself (the middle row), and that row plus 4 views (the full rows).
+    # Without sharing there would be one view per offset.
     offs = tuple(enumerate_offsets(spec))
     for boundary in Boundary:
         reach, plan = engine._count_plan(offs, (64,) * spec.dimension, boundary)
@@ -755,20 +809,23 @@ def test_non_integer_offset_components_are_domain_errors(bad):
         step(grid, rule, [(bad, 0), (0, 1)])
 
 
-# k-radius sizes are even: |N| = 126 and 128 straddle the switch from uint8
-# at 127, and moore(2, 90) = 32760 and moore(2, 91) = 33488 the one from
-# uint16 at 32767; at d = 1, 2r = 128 and 32768 are just past either switch
+# k-radius sizes are even: |N| = 126 and 128 straddle the keys' switch
+# from uint8 at 127, and moore(2, 90) = 32760 and moore(2, 91) = 33488 the
+# one from uint16 at 32767; at d = 1, 2r = 254 and 256 straddle the sums'
+# switch from uint8 at |N| = 254, and 65534 and 65536 the one from uint16
 @pytest.mark.parametrize(
     "spec, dims, dtype",
     [
         (k_radius(3, 2, 3), (3, 4, 2), np.uint8),
-        (k_radius(8, 2, 1), (2, 1, 2, 3, 2, 1, 2, 2), np.uint16),
+        (k_radius(8, 2, 1), (2, 1, 2, 3, 2, 1, 2, 2), np.uint8),
         (moore(2, 90), (3, 2), np.uint16),
-        (moore(2, 91), (3, 2), np.uint32),
-        (k_radius(1, 1, 64), (3,), np.uint16),
-        (k_radius(1, 1, 16384), (3,), np.uint32),
+        (moore(2, 91), (3, 2), np.uint16),
+        (k_radius(1, 1, 127), (3,), np.uint8),
+        (k_radius(1, 1, 128), (3,), np.uint16),
+        (k_radius(1, 1, 32767), (3,), np.uint16),
+        (k_radius(1, 1, 32768), (3,), np.uint32),
     ],
-    ids=["126", "128", "32760", "33488", "d1-128", "d1-32768"],
+    ids=["126", "128", "32760", "33488", "d1-254", "d1-256", "d1-65534", "d1-65536"],
 )
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_k_radius_lists_where_the_count_type_widens_match_reference_oracle(spec, dims, dtype, boundary):
@@ -777,7 +834,8 @@ def test_k_radius_lists_where_the_count_type_widens_match_reference_oracle(spec,
     size = len(offs)
     rule = Rule(frozenset({0, size // 2}), frozenset({1, size}))
     full = set(itertools.product(*(range(n) for n in dims)))
-    # on the all-live torus every offset reads a live cell: the index is 2|N| + 1
+    # on the all-live torus every offset reads a live cell: the sums reach
+    # count + state = |N| + 1, and the key 2|N| + 1
     soups = [full] if size > 1000 else [full, set(itertools.islice(sorted(full), 0, None, 3))]
     for live in soups:
         _assert_step_matches_reference(make_grid(dims, boundary, sorted(live)), rule, offs)
@@ -785,12 +843,13 @@ def test_k_radius_lists_where_the_count_type_widens_match_reference_oracle(spec,
 
 @pytest.mark.parametrize(
     "spec, dims, bound",
-    [(moore(2), (1024, 1024), 5), (k_radius(5, 3, 1), (16,) * 5, 13)],
+    [(moore(2), (1024, 1024), 5), (k_radius(5, 3, 1), (16,) * 5, 8)],
     ids=["life-1024^2", "k3-16^5"],
 )
 def test_step_memory_per_cell(spec, dims, bound):
     # the padded copy, the plan's sums, the next grid and the gather's
-    # intp blocks, as tracemalloc sees numpy's buffers
+    # intp blocks, as tracemalloc sees numpy's buffers; k3's uint8 sums peak
+    # at 7.2 bytes per cell (12.6 in uint16), bounded at 8 for 10% margin
     offs = enumerate_offsets(spec)
     grid = _soup(dims, Boundary.TOROIDAL)
     step(grid, LIFE, offs)  # the plan
@@ -813,9 +872,10 @@ def test_step_memory_per_cell(spec, dims, bound):
 
 
 def _key(grid, offs):
-    """The key count + (n+1)*state per cell, as step makes it."""
-    index = engine._index(grid, tuple(offs))
-    return index + np.multiply(grid.states, len(offs), dtype=index.dtype)
+    """The key count + (n+1)*state per cell, as step makes it, in the type
+    that holds 2n + 1."""
+    dtype = np.min_scalar_type(2 * len(offs) + 1)
+    return engine._index(grid, tuple(offs)) + np.multiply(grid.states, len(offs), dtype=dtype)
 
 
 def _table(rule, n):
@@ -895,6 +955,20 @@ def test_step_tests_runs_up_to_the_crossover_and_gathers_past_it(monkeypatch):
         runs_tested.clear()
         assert np.array_equal(step(grid, rule, MOORE2).states, np.take(_table(rule, len(MOORE2)), key))
         assert runs_tested == tested, name
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_130_offsets_step_over_several_blocks_as_the_reference(monkeypatch, boundary):
+    # 130 offsets: the sums are uint8, and each block of the key widens to
+    # uint16 as it adds 130*state; blocks of 256 cells make 720 cells three
+    # blocks, the last one short; a 2-run rule tests runs, a 7-run one gathers
+    monkeypatch.setattr(engine, "_BLOCK", 256)
+    offs = enumerate_offsets(k_radius(5, 3, 1))
+    grid = _soup((4, 3, 5, 4, 3), boundary)
+    assert (engine._index(grid, tuple(offs)).dtype, _key(grid, offs).dtype) == (np.uint8, np.uint16)
+    shapes = _rule_shapes(len(offs))
+    for name in ("single", "over"):
+        _assert_step_matches_reference(grid, shapes[name][0], offs)
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))
