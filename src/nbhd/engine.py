@@ -400,7 +400,7 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
     children, so each shared sub-sum is added once.  A sum whose entries
     hold those of a smaller sum on its axis, its base, is the base plus the
     entries that remain, and a node read once becomes such a sum when that
-    makes fewer views: a diamond's row segment of half-width w is the one of
+    adds fewer cells: a diamond's row segment of half-width w is the one of
     w - 1 plus 2 views, so diamond(2, 5) is 26 views in 6 sums.
 
     ``reach[i]`` pads axis i on each side.  ``sums[j]`` is (views, drops)
@@ -460,8 +460,13 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
 
     # from axis 0 up and the smallest node first, each node takes as its base
     # the largest sum on its axis whose entries it holds; a sum is filed
-    # under its first entry, which a node must hold to hold all of them
+    # under its first entry, which a node must hold to hold all of them.  A
+    # node read once becomes a sum when its adds, and the one add of it in
+    # its reader, cover fewer cells than its views would in its reader,
+    # taken at the root's size: a sum on axis i is padded past axis i.
     size = [sum(m for _, m in entries) for _, entries in tree]
+    cells = [math.prod(dims[: i + 1]) * math.prod(n + 2 * p for n, p in zip(dims[i + 1:], reach[i + 1:]))
+             for i in range(d)]
     nested, filed = {}, defaultdict(list)  # nested: sum -> (base, entries it adds)
     for node in sorted(range(1, len(tree)), key=lambda node: (tree[node][0], size[node])):
         axis, entries = tree[node]
@@ -472,7 +477,9 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
                 for entry, m in tree[base][1]:
                     held[entry] -= m
                 rest = tuple((entry, m) for entry, m in held.items() if m)
-                if is_sum[node] or 1 + len(views_of(axis, rest)) < len(views_of(axis, entries)):
+                if is_sum[node] or (
+                    len(views_of(axis, rest)) * cells[axis] + cells[-1] < len(views_of(axis, entries)) * cells[-1]
+                ):
                     is_sum[node], nested[node] = True, (base, rest)
                 break
         if is_sum[node]:
