@@ -17,7 +17,8 @@ in 7 sums for k_radius(5, 3, 1), against 130 offsets), for a diamond the
 layers |D(1, m)| = |D(1, m-1)| + 2 under the Delannoy recurrence (26 views
 in 6 sums for diamond(2, 5), against 60), and for a list with no shared
 parts one view per offset.  Offsets that fold onto one cell of a small torus
-are one view, multiplied.
+are one view, multiplied.  Plans are cached by value, so a run, or a few
+worlds stepped in turn, make each once.
 
 A cell's next state depends on its key count + (|N|+1)*state.  The plan's
 sums make count + state <= |N| + 1 in the narrowest unsigned type that
@@ -192,16 +193,15 @@ def make_grid(
     dims = _grid_dims(dims)
     coords = _rows(live_cells, len(dims), "cell", "grid dimension")
     states = np.zeros(dims, dtype=np.uint8)
-    # bounds first: a cell past int64 (uint64, or Python ints) is named as given
-    outside = ((coords < 0) | (coords >= dims)).any(axis=1)
-    if outside.any():
-        cell = tuple(coords[outside.argmax()].tolist())
-        raise BoundsError(f"cell {_exact(cell)} outside grid of dims {_exact(dims)}")
-    # one flat index per cell: numpy takes at most 63 index arrays
+    # one flat index per cell (numpy takes at most 63 index arrays); a column
+    # is cast once in bounds, else the first cell outside is named as given
     flat = np.zeros(len(coords), dtype=np.int64)
-    for column, n in zip(coords.astype(np.int64, copy=False).T, dims):
+    for column, n in zip(coords.T, dims):
+        if flat.size and (column.min() < 0 or column.max() >= n):
+            cell = tuple(coords[((coords < 0) | (coords >= dims)).any(axis=1).argmax()].tolist())
+            raise BoundsError(f"cell {_exact(cell)} outside grid of dims {_exact(dims)}")
         flat *= n
-        flat += column
+        flat += column.astype(np.int64, copy=False)
     states.reshape(-1)[flat] = 1
     return Grid(dims, states, boundary)
 
@@ -230,15 +230,14 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     another type, or a rule count above len(offsets), raises DomainError; a
     padded copy of more than DEFAULT_CELL_CAP cells CapacityError.
     """
-    rows, tuples = _run_rows  # what run read and checked, as int tuples once
-    offsets = tuples if offsets is rows else _offset_tuples(_step_rows(grid, rule, offsets))
-    n = len(offsets)
+    rows = _step_rows(grid, rule, offsets)
+    n = len(rows)
 
     runs, table = _lookup(rule, n)
     # count + state per cell, flat in C order whatever the grid's layout; a
     # block at a time it becomes the key count + (n+1)*state in the key's
     # wider type, then the next state
-    count, alive = _index(grid, offsets).reshape(-1), grid.states.reshape(-1)
+    count, alive = _index(grid, rows).reshape(-1), grid.states.reshape(-1)
     states = np.empty(count.size, dtype=np.uint8)
     part = np.empty(min(count.size, _BLOCK), dtype=np.min_scalar_type(2 * n + 1))
     scratch = np.empty(min(count.size, _BLOCK), dtype=bool)
@@ -259,23 +258,19 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
 
 
 def _step_rows(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> np.ndarray:
-    """``offsets`` as step and run read them, an (n, d) integer array, once the grid, rule and n are checked."""
+    """``offsets`` as step and run read them, an (n, d) integer array, once
+    the grid, rule and n are checked.  Rows of Python ints (past int64, say)
+    become the int64 rows that read the same cells: modulo each axis on a
+    torus, and clipped to one axis length, still reading only dead cells, on
+    a fixed-dead grid."""
     _expect(grid, Grid, "grid")
     _expect(rule, Rule, "rule")
     rows = _rows(offsets, len(grid.dims), "offset", "grid dimension")
     rule.check_fits(len(rows))
+    if rows.dtype == object:
+        dims = np.array(grid.dims, dtype=object)
+        rows = (rows % dims if grid.boundary is Boundary.TOROIDAL else np.clip(rows, -dims, dims)).astype(np.int64)
     return rows
-
-
-def _offset_tuples(rows: np.ndarray) -> tuple[Offset, ...]:
-    """(n, d) integer rows as int tuples, the key of the plan's cache: as ints,
-    since 1.0 == 1."""
-    return tuple(map(tuple, rows.tolist()))
-
-
-# (rows, tuples): the read-only (n, d) array the latest run made, and its
-# offsets as int tuples, which step takes in place of reading the array
-_run_rows: tuple = (object(), ())
 
 
 _BLOCK = 2**16  # cells whose key is made or looked up at once
@@ -288,7 +283,7 @@ _BLOCK = 2**16  # cells whose key is made or looked up at once
 _MAX_RUNS = 6
 
 
-@functools.lru_cache(maxsize=1)  # run steps with one rule: every step after the first reuses it
+@functools.lru_cache(maxsize=8)  # a few rules stepped in turn each keep theirs
 def _lookup(rule: Rule, n: int) -> tuple[list[list[int]], np.ndarray | None]:
     """(runs, table): how step finds the next state for ``rule`` and n offsets.
 
@@ -333,17 +328,17 @@ def _test_runs(key: np.ndarray, runs: Sequence[Sequence[int]], live: np.ndarray,
             live |= other
 
 
-def _index(grid: Grid, offsets: tuple[Offset, ...]) -> np.ndarray:
-    """count + state per cell, of the shape of the grid, for ``offsets``, a
-    tuple of int tuples.
+def _index(grid: Grid, rows: np.ndarray) -> np.ndarray:
+    """count + state per cell, of the shape of the grid, for ``rows``, the
+    offsets as an (n, d) integer array.
 
     Runs _count_plan's sums over one padded copy of the grid.  A sum never
-    exceeds count + state <= n + 1, n = len(offsets), so the sums are made in
-    the narrowest unsigned type that holds n + 1; step widens a block at a
-    time to the key's type as it adds n*state.
+    exceeds count + state <= n + 1, so the sums are made in the narrowest
+    unsigned type that holds n + 1; step widens a block at a time to the
+    key's type as it adds n*state.
     """
-    reach, sums = _count_plan(offsets, grid.dims, grid.boundary)
-    dtype = np.min_scalar_type(len(offsets) + 1)
+    reach, sums = _count_plan(rows.tobytes(), rows.dtype, grid.dims, grid.boundary)
+    dtype = np.min_scalar_type(len(rows) + 1)
     arrays = [_padded(grid, reach)]
     for views, drops in sums:
         # a view read ``times`` times is added once, multiplied
@@ -371,31 +366,17 @@ def _padded(grid: Grid, reach: Sequence[int]) -> np.ndarray:
     return np.pad(grid.states, [(p, p) for p in reach], mode=mode)
 
 
-def _last_call(function: Callable) -> Callable:
-    """``function`` that keeps its last value, for equal arguments: compared,
-    not hashed, so the same tuple again is found at once."""
-    last: list = [((), None)]
-
-    @functools.wraps(function)
-    def cached(*args):
-        given, value = last[0]
-        if given != args:
-            value = function(*args)
-            last[0] = args, value
-        return value
-
-    return cached
-
-
-@_last_call  # run steps with one list: every step after the first reuses it
-def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Boundary) -> tuple:
+@functools.lru_cache(maxsize=8)  # a few lists, grid shapes or boundaries stepped in turn each keep theirs
+def _count_plan(rows: bytes, dtype: np.dtype, dims: tuple[int, ...], boundary: Boundary) -> tuple:
     """(reach, sums): how _index sums views of the padded grid into counts.
 
-    The offsets and the zero offset (the cell itself) form a tree, built
-    from axis 0 up: at axis i a node is the sorted multiset of (component on
-    axis i, child node) over the offsets that agree on the axes after i,
-    held as ((component, child), multiplicity) entries, and equal nodes are
-    one node.  The root, and each node read at least twice with at least two
+    ``rows`` and ``dtype`` are the bytes and type of the (n, d) offsets,
+    read back as Python ints, so the cache is keyed by value.  The offsets
+    and the zero offset (the cell itself) form a tree, built from axis 0 up:
+    at axis i a node is the sorted multiset of (component on axis i, child
+    node) over the offsets that agree on the axes after i, held as
+    ((component, child), multiplicity) entries, and equal nodes are one
+    node.  The root, and each node read at least twice with at least two
     entries, is a sum (one array); other nodes are read through their
     children, so each shared sub-sum is added once.  A sum whose entries
     hold those of a smaller sum on its axis, its base, is the base plus the
@@ -411,6 +392,7 @@ def _count_plan(offsets: tuple[Offset, ...], dims: tuple[int, ...], boundary: Bo
     axes and padded on the others; the last sum is the root, count + state.
     """
     d = len(dims)
+    offsets = map(tuple, np.frombuffer(rows, dtype).reshape(-1, d).tolist())
     # keep every pad within its axis: on a torus fold each component into
     # [-n//2, n - n//2); on a fixed-dead grid drop an offset that reaches a
     # whole axis length, since it reads only dead cells.  A folded repeat is
@@ -523,7 +505,8 @@ def run(
     steps: int,
     observer: Callable[[int, int], None] | None = None,
 ) -> Grid:
-    """Apply step exactly ``steps`` times, reading ``offsets`` once.
+    """Apply step exactly ``steps`` times, reading ``offsets`` once into a
+    copy of their int rows, which every step takes and finds its plan by.
 
     What step refuses, or an observer that is not callable, raises before
     step 1, so also at steps=0, which returns ``grid`` unchanged.  After
@@ -533,12 +516,9 @@ def run(
         raise DomainError(f"steps must be >= 0, got {_exact(steps)}")
     if observer is not None and not callable(observer):
         raise DomainError(f"observer must be callable, got {type(observer).__name__}")
-    global _run_rows
-    # a copy of the caller's array, which an observer could write to; the
-    # steps look step up through the module, where a tracer may wrap it
+    # a copy, since an observer could write to the caller's array; the steps
+    # look step up through the module, where a tracer may wrap it
     rows = np.array(_step_rows(grid, rule, offsets))
-    rows.flags.writeable = False
-    _run_rows = rows, _offset_tuples(rows)
     for i in range(1, steps + 1):
         grid = step(grid, rule, rows)
         if observer is not None:

@@ -42,7 +42,7 @@ DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
 DEFAULT_OFFSET_CAP = 2**24  # components, offsets * dimension
 DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory stays bounded
 # a step holds its padded copy and the count plan's partial sums, each padded
-# on the axes not yet summed: about 3 bytes per cell for 1024^2 Life, 13 for
+# on the axes not yet summed: about 3 bytes per cell for 1024^2 Life, 7.2 for
 # k_radius(5, 3, 1) on 16^5, 49 for k_radius(8, 4, 1) on a 6^8 torus
 DEFAULT_CELL_CAP = 2**28  # grids and padded copies
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms

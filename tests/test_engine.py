@@ -71,6 +71,10 @@ def test_make_grid_validates():
         make_grid((3, 3), live_cells=[(3, 0)])
     with pytest.raises(BoundsError):
         make_grid((3, 3), live_cells=[(-1, 0)])
+    # the columns are checked in turn, but the first cell outside is named,
+    # though column 0 fails only on the later row
+    with pytest.raises(BoundsError, match=r"cell \(0, 5\) outside"):
+        make_grid((3, 3), live_cells=[(0, 5), (5, 0)])
     for cells in ([(1, 1, 1)], [(0, 0), (1, 1, 1)]):
         with pytest.raises(DimensionError) as exc:
             make_grid((3, 3), live_cells=cells)
@@ -375,18 +379,38 @@ def test_run_reads_its_offsets_once_and_calls_engine_step_per_step(monkeypatch, 
     assert run(grid, LIFE, iter(MOORE2), steps) == out == run(grid, LIFE, MOORE2, steps)
 
 
-def test_run_makes_int_tuples_of_its_rows_once(monkeypatch):
-    # a run's steps take the tuples run made of its own read-only copy of the
-    # rows; a step given any other rows makes its own
-    made, offset_tuples = [], engine._offset_tuples
-    monkeypatch.setattr(engine, "_offset_tuples", lambda rows: made.append(len(rows)) or offset_tuples(rows))
+def _builds(function):
+    """Calls of the cached ``function`` that missed its cache, counted from now."""
+    function.cache_clear()
+    return lambda: function.cache_info().misses
+
+
+def test_steps_build_each_plan_and_lookup_once():
+    # plans are cached by the value of the rows, grid shape and boundary, and
+    # lookups by rule and n, so a run, and two worlds stepped in turn, build
+    # each once
     grid = make_grid((8, 8), Boundary.TOROIDAL, GLIDER)
+    plans, lookups = _builds(engine._count_plan), _builds(engine._lookup)
     out = run(grid, LIFE, offset_array(moore(2)), 24)
-    assert made == [8]
+    assert (plans(), lookups()) == (1, 1)
     assert out == run(grid, LIFE, MOORE2, 24)
-    step(grid, LIFE, MOORE2)
-    step(grid, LIFE, np.array(MOORE2))
-    assert made == [8, 8, 8, 8]
+    assert (plans(), lookups()) == (2, 1)  # int8 rows, then int64 ones
+
+    plans = _builds(engine._count_plan)
+    for _ in range(6):
+        assert step(grid, LIFE, MOORE2) == step(grid, LIFE, MOORE2[::-1])
+    assert plans() == 2
+
+    plans, wider = _builds(engine._count_plan), make_grid((9, 9), Boundary.TOROIDAL, GLIDER)
+    for _ in range(6):
+        step(grid, LIFE, MOORE2), step(wider, LIFE, MOORE2)
+    assert plans() == 2
+
+    plans, lookups = _builds(engine._count_plan), _builds(engine._lookup)
+    highlife = Rule(birth=frozenset({3, 6}), survival=frozenset({2, 3}))
+    for _ in range(6):
+        step(grid, LIFE, MOORE2), step(grid, highlife, MOORE2)
+    assert (plans(), lookups()) == (1, 2)
 
 
 def test_run_steps_the_offsets_it_was_given_though_an_observer_writes_them():
@@ -613,6 +637,17 @@ def test_padded_copy_past_the_cell_cap_is_capacity_error(monkeypatch):
 # count for count against the set-based reference.
 
 
+def _int_rows(offs, d):
+    """``offs`` as step passes them to engine._index, an (n, d) int64 array."""
+    return np.array(offs, dtype=np.int64).reshape(-1, d)
+
+
+def _plan(offs, dims, boundary):
+    """engine._count_plan of ``offs``, keyed as engine._index keys it."""
+    rows = _int_rows(offs, len(dims))
+    return engine._count_plan(rows.tobytes(), rows.dtype, dims, boundary)
+
+
 def _index_dtype(offs):
     # the sums hold count + state <= |N| + 1; the key's wider type is step's
     return np.min_scalar_type(len(offs) + 1)
@@ -625,7 +660,7 @@ def _assert_index_matches_reference(grid, offs):
     want = np.zeros(grid.dims, dtype=np.int64)
     for cell, cnt in counts.items():
         want[cell] = cnt
-    index = engine._index(grid, tuple(map(tuple, offs)))
+    index = engine._index(grid, _int_rows(offs, len(grid.dims)))
     assert index.dtype == _index_dtype(offs)
     assert np.array_equal(index, want + grid.states)
 
@@ -691,7 +726,7 @@ def test_count_plan_adds_shared_sub_sums_once(spec, sums, views):
     # Without sharing there would be one view per offset.
     offs = tuple(enumerate_offsets(spec))
     for boundary in Boundary:
-        reach, plan = engine._count_plan(offs, (64,) * spec.dimension, boundary)
+        reach, plan = _plan(offs, (64,) * spec.dimension, boundary)
         assert reach == (spec.r,) * spec.dimension
         assert (len(plan), sum(len(made) for made, _ in plan)) == (sums, views)
 
@@ -701,7 +736,7 @@ def test_count_plan_adds_each_folded_view_once():
     # fold onto the 6 cells: one sum of 6 views, each multiplied by the
     # number of offsets that read it, where one view per offset made 33489
     offs = tuple(enumerate_offsets(moore(2, 91)))
-    reach, plan = engine._count_plan(offs, (3, 2), Boundary.TOROIDAL)
+    reach, plan = _plan(offs, (3, 2), Boundary.TOROIDAL)
     assert reach == (1, 1)
     assert (len(plan), sum(len(made) for made, _ in plan)) == (1, 6)
     assert sum(times for made, _ in plan for _, _, times in made) == len(offs) + 1
@@ -875,7 +910,7 @@ def _key(grid, offs):
     """The key count + (n+1)*state per cell, as step makes it, in the type
     that holds 2n + 1."""
     dtype = np.min_scalar_type(2 * len(offs) + 1)
-    return engine._index(grid, tuple(offs)) + np.multiply(grid.states, len(offs), dtype=dtype)
+    return engine._index(grid, _int_rows(offs, len(grid.dims))) + np.multiply(grid.states, len(offs), dtype=dtype)
 
 
 def _table(rule, n):
@@ -965,7 +1000,7 @@ def test_130_offsets_step_over_several_blocks_as_the_reference(monkeypatch, boun
     monkeypatch.setattr(engine, "_BLOCK", 256)
     offs = enumerate_offsets(k_radius(5, 3, 1))
     grid = _soup((4, 3, 5, 4, 3), boundary)
-    assert (engine._index(grid, tuple(offs)).dtype, _key(grid, offs).dtype) == (np.uint8, np.uint16)
+    assert (engine._index(grid, _int_rows(offs, 5)).dtype, _key(grid, offs).dtype) == (np.uint8, np.uint16)
     shapes = _rule_shapes(len(offs))
     for name in ("single", "over"):
         _assert_step_matches_reference(grid, shapes[name][0], offs)
