@@ -444,6 +444,8 @@ PINNED_SIMULATIONS = {
     "narrow-vn-r3": ((24, 20), ["--k", "1", "--r", "3"], "B3,4/S2,3,4,5", "dead", 0.3, 6, 3),
     "diamond-r3-3x5": ((3, 5), ["--diamond", "--r", "3"], "B8,9,10,11/S12,13,14,15,16,17,18", "torus", 0.4, 5, 1),
     "moore-3d": ((8, 7, 6), ["--k", "3"], "B5,6,7/S5,6,7,8", "torus", 0.3, 4, 2),
+    "three-d-diamond-r3-dead": ((9, 8, 7), ["--diamond", "--r", "3"], "B8,9,10,11/S7,8,9,10,11,12",
+                                "dead", 0.35, 6, 2),
 }
 
 
