@@ -10,15 +10,15 @@ fixed-dead grid), and every count is a sum of views of that copy.
 
 Every offset list is summed one way.  Read axis by axis, the offsets form a
 tree whose nodes are sub-neighbourhoods that many offsets share, and
-_count_plan adds each shared sub-sum once, and builds a sum from a smaller
-one on its axis that it contains.  For a k-radius list that is the paper's
-row recurrence T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) as ring sums (25 views
-in 7 sums for k_radius(5, 3, 1), against 130 offsets), for a diamond the
-layers |D(1, m)| = |D(1, m-1)| + 2 under the Delannoy recurrence (26 views
-in 6 sums for diamond(2, 5), against 60), and for a list with no shared
-parts one view per offset.  Offsets that fold onto one cell of a small torus
-are one view, multiplied.  Plans are cached by value, so a run, or a few
-worlds stepped in turn, make each once.
+_count_plan adds each shared sub-sum once, and reads a node that contains a
+smaller sum on its axis as that sum plus the rest.  For a k-radius list that
+is the paper's row recurrence T(d, k) = T(d-1, k) + 2r*T(d-1, k-1) as ring
+sums (25 views in 7 sums for k_radius(5, 3, 1), against 130 offsets), for a
+diamond the layers |D(1, m)| = |D(1, m-1)| + 2 under the Delannoy recurrence
+(25 views in 5 sums for diamond(2, 5), against 60), and for a list with no
+shared parts one view per offset.  Offsets that fold onto one cell of a
+small torus are one view, multiplied.  Plans are cached by value, so a run,
+or a few worlds stepped in turn, make each once.
 
 A cell's next state depends on its key count + (|N|+1)*state.  The plan's
 sums make count + state <= |N| + 1 in the narrowest unsigned type that
@@ -378,11 +378,12 @@ def _count_plan(rows: bytes, dtype: np.dtype, dims: tuple[int, ...], boundary: B
     ((component, child), multiplicity) entries, and equal nodes are one
     node.  The root, and each node read at least twice with at least two
     entries, is a sum (one array); other nodes are read through their
-    children, so each shared sub-sum is added once.  A sum whose entries
-    hold those of a smaller sum on its axis, its base, is the base plus the
-    entries that remain, and a node read once becomes such a sum when that
-    adds fewer cells: a diamond's row segment of half-width w is the one of
-    w - 1 plus 2 views, so diamond(2, 5) is 26 views in 6 sums.
+    children, so each shared sub-sum is added once.  A node whose entries
+    hold those of a smaller sum on its axis, its base, is read as one view
+    of the base plus the entries that remain, wherever it is read: a
+    diamond's row segment of half-width w is the one of w - 1 plus 2 views,
+    and the root reads its widest segment that way, with no array of its
+    own: diamond(2, 5) is 25 views in 5 sums.
 
     ``reach[i]`` pads axis i on each side.  ``sums[j]`` is (views, drops)
     for array j + 1, array 0 being the padded grid: it adds its views
@@ -426,66 +427,53 @@ def _count_plan(rows: bytes, dtype: np.dtype, dims: tuple[int, ...], boundary: B
         for (_, child), _ in entries:
             reads[child] += 1 if is_sum[node] else reads[node]
 
-    def views_of(axis: int, entries: tuple) -> Counter:
-        """(sum, path) -> times: the sums that ``entries`` on ``axis`` read,
-        through the nodes between, each of which crops and shifts one axis."""
-        views: Counter = Counter()
-        stack = [(axis, entries, (), 1)]
-        while stack:
-            axis, entries, path, times = stack.pop()
-            for (c, child), m in entries:
-                if is_sum[child]:
-                    views[child, path + ((axis, c),)] += times * m
-                else:
-                    stack.append((axis - 1, tree[child][1], path + ((axis, c),), times * m))
-        return views
-
     # from axis 0 up and the smallest node first, each node takes as its base
-    # the largest sum on its axis whose entries it holds; a sum is filed
-    # under its first entry, which a node must hold to hold all of them.  A
-    # node read once becomes a sum when its adds, and the one add of it in
-    # its reader, cover fewer cells than its views would in its reader,
-    # taken at the root's size: a sum on axis i is padded past axis i.
+    # the largest sum on its axis whose entries it holds, and is read as that
+    # base plus the entries that remain; a sum is filed under its first
+    # entry, which a node must hold to hold all of them
     size = [sum(m for _, m in entries) for _, entries in tree]
-    cells = [math.prod(dims[: i + 1]) * math.prod(n + 2 * p for n, p in zip(dims[i + 1:], reach[i + 1:]))
-             for i in range(d)]
-    nested, filed = {}, defaultdict(list)  # nested: sum -> (base, entries it adds)
-    for node in sorted(range(1, len(tree)), key=lambda node: (tree[node][0], size[node])):
-        axis, entries = tree[node]
-        held = dict(entries)
+    order = sorted(range(1, len(tree)), key=lambda node: (tree[node][0], size[node]))
+    nested, filed = {}, defaultdict(list)  # nested: node -> (base, entries that remain)
+    for node in order:
+        held = dict(tree[node][1])
         bases = [base for entry in held for base in filed[entry]] if len(held) >= 2 else []
         for base in sorted(bases, key=size.__getitem__, reverse=True):
             if all(held.get(entry, 0) >= m for entry, m in tree[base][1]):
                 for entry, m in tree[base][1]:
                     held[entry] -= m
-                rest = tuple((entry, m) for entry, m in held.items() if m)
-                if is_sum[node] or (
-                    len(views_of(axis, rest)) * cells[axis] + cells[-1] < len(views_of(axis, entries)) * cells[-1]
-                ):
-                    is_sum[node], nested[node] = True, (base, rest)
+                nested[node] = (base, tuple((entry, m) for entry, m in held.items() if m))
                 break
         if is_sum[node]:
-            filed[entries[0][0]].append(node)
+            filed[tree[node][1][0][0]].append(node)
 
-    # arrays in node order, a base before the sum built on it
-    array_of: dict[int, int] = {}
-    for node in range(len(tree)):
-        chain = []
-        while node is not None and is_sum[node] and node not in array_of:
-            chain.append(node)
-            node = nested[node][0] if node in nested else None
-        for node in reversed(chain):
-            array_of[node] = len(array_of)
+    def views_of(node: int) -> Counter:
+        """(sum, path) -> times: the views that the sum ``node`` adds.  It,
+        and each node between it and the sums it reads, adds one view of its
+        base if it has one and reads its remaining entries; a node between
+        crops and shifts one axis."""
+        views: Counter = Counter()
+        stack = [(node, (), 1)]
+        while stack:
+            node, path, times = stack.pop()
+            base, entries = nested.get(node, (None, tree[node][1]))
+            if base is not None:
+                views[base, path] += times
+            for (c, child), m in entries:
+                at = path + ((tree[node][0], c),)
+                if is_sum[child]:
+                    views[child, at] += times * m
+                else:
+                    stack.append((child, at, times * m))
+        return views
+
+    # arrays in the order walked above, after the padded grid: a base has
+    # fewer entries than the node built on it, and the root is alone on the
+    # last axis, so each array comes after those it reads
+    array_of = {node: j for j, node in enumerate([0] + [node for node in order if is_sum[node]])}
     sums, last_read = [], {}
     for node in list(array_of)[1:]:
-        axis, entries = tree[node]
-        views: Counter = Counter()
-        if node in nested:
-            base, entries = nested[node]
-            views[base, ()] = 1  # the base, the same shape as the sum
-        views.update(views_of(axis, entries))
         made = []
-        for (child, path), times in views.items():
+        for (child, path), times in views_of(node).items():
             index = [slice(None)] * d
             for i, s in path:
                 index[i] = slice(reach[i] + s, reach[i] + s + dims[i])

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -708,27 +709,32 @@ def test_index_of_any_offset_list_matches_reference_counts(world, boundary):
     [
         (k_radius(5, 3, 1), 7, 25),
         (moore(2, 5), 2, 22),
-        (diamond(2, 5), 6, 26),
+        (diamond(2, 5), 5, 25),
         (moore(2), 2, 6),
-        (diamond(3, 3), 6, 30),
-        (k_radius(2, 2, 3, sharp_r=True), 4, 16),
+        (diamond(3, 3), 5, 29),
+        (k_radius(2, 2, 3, sharp_r=True), 3, 16),
+        (diamond(3, 6), 11, 77),
     ],
-    ids=["k3", "moore5", "diamond5", "life", "diamond3d", "moore-shell3"],
+    ids=["k3", "moore5", "diamond5", "life", "diamond3d", "moore-shell3", "diamond3d-r6"],
 )
 def test_count_plan_adds_shared_sub_sums_once(spec, sums, views):
     # Moore sums one line per axis, and the k3, Moore-5 and Life plans hold
     # no sum inside another.  diamond(2, 5) sums the segments of half-width
-    # 1..5, each the one before plus 2 views, and the root reads 11 views
-    # (45 views in 5 sums while each segment was its own sum, read 2 times
-    # or inlined); diamond(3, 3)'s planes nest their segments alike.  The
-    # Moore-3 shell's rows are the pair {-3, 3}, that pair plus the cell
-    # itself (the middle row), and that row plus 4 views (the full rows).
-    # Without sharing there would be one view per offset.
+    # 1..4, each the one before plus 2 views, and the root reads the widest
+    # segment as the one of half-width 4 plus 2 views, so 25 views in 5 sums
+    # (45 views while each segment was its own sum, read 2 times or inlined);
+    # diamond(3, r)'s planes nest their segments alike.  The Moore-3 shell
+    # sums the pair {-3, 3} and the full rows, that pair plus 5 views; the
+    # root reads the middle row as the pair plus the cell itself.  Without
+    # sharing there would be one view per offset.  Every array but the root
+    # is read by at least two views: a node read once is added in its reader.
     offs = tuple(enumerate_offsets(spec))
     for boundary in Boundary:
         reach, plan = _plan(offs, (64,) * spec.dimension, boundary)
         assert reach == (spec.r,) * spec.dimension
         assert (len(plan), sum(len(made) for made, _ in plan)) == (sums, views)
+        reads = Counter(j for made, _ in plan for j, _, _ in made)
+        assert all(reads[j] >= 2 for j in range(1, len(plan)))
 
 
 def test_count_plan_adds_each_folded_view_once():
@@ -878,13 +884,20 @@ def test_k_radius_lists_where_the_count_type_widens_match_reference_oracle(spec,
 
 @pytest.mark.parametrize(
     "spec, dims, bound",
-    [(moore(2), (1024, 1024), 5), (k_radius(5, 3, 1), (16,) * 5, 8)],
-    ids=["life-1024^2", "k3-16^5"],
+    [
+        (moore(2), (1024, 1024), 5),
+        (k_radius(5, 3, 1), (16,) * 5, 8),
+        (diamond(2, 5), (512, 512), 6.8),
+        (diamond(3, 3), (64,) * 3, 7.6),
+    ],
+    ids=["life-1024^2", "k3-16^5", "diamond5-512^2", "diamond3d-64^3"],
 )
 def test_step_memory_per_cell(spec, dims, bound):
     # the padded copy, the plan's sums, the next grid and the gather's
     # intp blocks, as tracemalloc sees numpy's buffers; k3's uint8 sums peak
-    # at 7.2 bytes per cell (12.6 in uint16), bounded at 8 for 10% margin
+    # at 7.2 bytes per cell (12.6 in uint16), bounded at 8 for 10% margin;
+    # the diamonds, whose widest segment is added in the root with no array
+    # of its own, at 6.2 and 7.0, bounded at 6.8 and 7.6
     offs = enumerate_offsets(spec)
     grid = _soup(dims, Boundary.TOROIDAL)
     step(grid, LIFE, offs)  # the plan
