@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import decimal
 import enum
+import functools
 import itertools
 import operator
 import re
@@ -46,7 +47,7 @@ DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory st
 # k_radius(5, 3, 1) on 16^5, 49 for k_radius(8, 4, 1) on a 6^8 torus
 DEFAULT_CELL_CAP = 2**28  # grids and padded copies
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
-_BOX_CHUNK = 2**16  # box points decoded at once: a (points, d) int64 array
+_BOX_CHUNK = 2**16  # box points decoded at once: a (d, points) int64 array
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # an integer field of offset, pattern and b-file text
 
 
@@ -346,33 +347,55 @@ def _box_points(d: int, r: int) -> int:
     raise CapacityError(f"box of {size} lattice points would exceed the cap of {DEFAULT_BOX_CAP}")
 
 
+@functools.lru_cache(maxsize=1)  # verify reads every spec of one box in a row
+def _box_tally(d: int, r: int, box: int, chunk: int) -> tuple[np.ndarray, int, int]:
+    """One scan of the box [-r, r]^d, in chunks of ``chunk`` points decoded
+    base 2r+1, tallied by the rules of ``contains``.
+
+    ``by_nonzero[edge, j]`` counts the points with j nonzero components whose
+    largest |component| is r (edge 1) or below it (edge 0); ``filled`` and
+    ``shell`` count the points with 0 < sum |c| <= r and with sum |c| == r.
+    The tally is sized by d, never by r.
+    """
+    by_nonzero = np.zeros(2 * (d + 1), dtype=np.int64)
+    filled = shell = 0
+    for start in range(0, box, chunk):
+        rest = np.arange(start, min(start + chunk, box), dtype=np.int64)
+        size = np.empty((d, rest.size), dtype=np.int64)  # one row per axis
+        for axis in range(d - 1):
+            rest, size[axis] = np.divmod(rest, 2 * r + 1)
+        size[d - 1] = rest  # what is left is the last digit
+        size = np.abs(size - r)
+        largest, nonzero, total = size.max(axis=0), np.count_nonzero(size, axis=0), size.sum(axis=0)
+        by_nonzero += np.bincount((largest == r) * (d + 1) + nonzero, minlength=2 * (d + 1))
+        filled += int(np.count_nonzero((total > 0) & (total <= r)))
+        shell += int(np.count_nonzero(total == r))
+    by_nonzero = by_nonzero.reshape(2, d + 1)
+    by_nonzero.flags.writeable = False  # shared by every caller of the cache
+    return by_nonzero, filled, shell
+
+
 def brute_force_count(spec: NeighborhoodSpec) -> int:
     """Count members by scanning every point of the box [-r, r]^d.
 
     Deliberately independent of every formula and of the enumeration; this is
-    the oracle the counting module is checked against.  Points are decoded in
-    chunks, base 2r+1, and tested by the rules of ``contains`` on arrays.
+    the oracle the counting module is checked against.  One scan decodes the
+    box's points in chunks of _BOX_CHUNK, base 2r+1, and tallies them by the
+    rules of ``contains``: by whether the largest |component| is r, by the
+    number of nonzero components, and by Manhattan length, up to r and equal
+    to r.  Every spec of the box is read from that tally, and the last box's
+    tally is kept, so the specs of one box that ``verify`` checks in a row
+    scan it once.
     Raises CapacityError when the box holds more than DEFAULT_BOX_CAP (2**26).
     """
     _expect(spec, NeighborhoodSpec, "spec")
     d, r = spec.dimension, spec.r
-    box = _box_points(d, r)
-    found = 0
-    for start in range(0, box, _BOX_CHUNK):
-        rest = np.arange(start, min(start + _BOX_CHUNK, box), dtype=np.int64)
-        digits = np.empty((rest.size, d), dtype=np.int64)
-        for axis in range(d):
-            rest, digits[:, axis] = np.divmod(rest, 2 * r + 1)
-        size = np.abs(digits - r)
-        if spec.family is Family.DIAMOND:
-            total = size.sum(axis=1)
-            member = total == r if spec.sharp_r else (total > 0) & (total <= r)
-        else:
-            largest, nonzero = size.max(axis=1), np.count_nonzero(size, axis=1)
-            member = largest == r if spec.sharp_r else largest > 0
-            member &= nonzero == spec.k if spec.sharp_k else nonzero <= spec.k
-        found += int(np.count_nonzero(member))
-    return found
+    by_nonzero, filled, shell = _box_tally(d, r, _box_points(d, r), _BOX_CHUNK)
+    if spec.family is Family.DIAMOND:
+        return shell if spec.sharp_r else filled
+    # the shell is the points whose largest |component| is r; column 0 holds the center alone
+    row = by_nonzero[1] if spec.sharp_r else by_nonzero.sum(axis=0)
+    return int(row[spec.k] if spec.sharp_k else row[1 : spec.k + 1].sum())
 
 
 # --------------------------------------------------------------------------

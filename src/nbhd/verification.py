@@ -6,6 +6,7 @@ is the package's self-test."""
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,6 +30,7 @@ class CheckResult:
     name: str
     cases: int = 0
     failures: list[str] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the check, set by run_verification
 
     @property
     def ok(self) -> bool:
@@ -159,7 +161,8 @@ def check_oracle_agreement(max_d: int, max_k: int, max_r: int) -> CheckResult:
 
 
 def run_verification(max_d: int = 4, max_k: int | None = None, max_r: int = 3) -> list[CheckResult]:
-    """All cross-checks over the given ranges, max_k defaulting to max_d.
+    """All cross-checks over the given ranges, max_k defaulting to max_d,
+    each result holding the seconds its check took.
 
     A range below 1 would check nothing, and nothing checked is no pass, so
     it raises DomainError.  A range whose largest box, (2 max_r + 1)^max_d,
@@ -171,13 +174,22 @@ def run_verification(max_d: int = 4, max_k: int | None = None, max_r: int = 3) -
         if value < 1:
             raise DomainError(f"{name} must be >= 1, got {_exact(value)}")
     _box_points(max_d, max_r)  # the oracle check's last box scan would refuse it: refuse it first
+    # each check is read by its module name at each call, where perfbench/tracing.py wraps it
     return [
-        check_sharp_k_formula_vs_recurrence(max_d),
-        check_k_formula_vs_recurrence(max_d),
-        check_partial_sum_identity(max_d),
-        check_moore_shell_identity(max_d, max_r),
-        check_diamond_formula_vs_recurrence(max_d, max_r),
-        check_delannoy_identities(max_d, max_r),
-        check_specializations(max_d, max_r),
-        check_oracle_agreement(max_d, max_k, max_r),
+        _timed(check_sharp_k_formula_vs_recurrence, max_d),
+        _timed(check_k_formula_vs_recurrence, max_d),
+        _timed(check_partial_sum_identity, max_d),
+        _timed(check_moore_shell_identity, max_d, max_r),
+        _timed(check_diamond_formula_vs_recurrence, max_d, max_r),
+        _timed(check_delannoy_identities, max_d, max_r),
+        _timed(check_specializations, max_d, max_r),
+        _timed(check_oracle_agreement, max_d, max_k, max_r),
     ]
+
+
+def _timed(check, *ranges) -> CheckResult:
+    """``check(*ranges)``, its result holding the seconds it took."""
+    start = time.perf_counter()
+    result = check(*ranges)
+    result.seconds = time.perf_counter() - start
+    return result

@@ -19,7 +19,7 @@ import nbhd
 from nbhd import cli, counting, diamond, engine, enumerate_offsets, format_offset, k_radius, load_pattern, moore
 from nbhd import verification
 from nbhd.cli import main
-from nbhd.neighborhoods import DEFAULT_TERM_CAP, Family
+from nbhd.neighborhoods import DEFAULT_TERM_CAP, Family, _box_tally
 from nbhd.sequences import SequenceId, format_term
 from nbhd.errors import DomainError
 from nbhd.verification import iter_specs, run_verification
@@ -344,6 +344,23 @@ def test_run_verification_refuses_a_range_that_checks_nothing(ranges, message):
     with pytest.raises(DomainError, match=message):
         run_verification(*ranges)
     assert all(result.ok and result.cases for result in run_verification(2, 2, 2))
+
+
+def test_verify_scans_each_box_once():
+    # iter_specs yields the 210 specs of d <= 5, r <= 3 box by box, so the
+    # oracle check scans each of the 15 boxes once and reads the rest
+    _box_tally.cache_clear()
+    results = run_verification(5, 5, 3)
+    assert all(result.ok for result in results)
+    info = _box_tally.cache_info()
+    assert (info.misses, info.hits) == (15, 210 - 15)
+
+
+def test_verify_times_each_check():
+    results = run_verification(2, 2, 2)
+    assert len(results) == 8
+    assert all(result.seconds >= 0 for result in results)
+    assert results[-1].seconds > 0  # the oracle check scans 4 boxes
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from nbhd import (
     parse_offset,
     von_neumann,
 )
-from nbhd.neighborhoods import _exact, format_term
+from nbhd.neighborhoods import _box_tally, _exact, format_term
 
 
 # ---------------------------------------------------------------- spec validation
@@ -267,6 +267,30 @@ def test_box_scan_chunk_edges_inside_the_box(spec, chunk):
     # small odd chunks end inside the box, mid-row on every axis
     with mock.patch("nbhd.neighborhoods._BOX_CHUNK", chunk):
         assert brute_force_count(spec) == _scalar_count(spec)
+
+
+def test_box_scan_specs_of_two_boxes_in_turn():
+    # one box's tally is kept: each switch of box scans afresh, and every
+    # spec is read from the tally of its own box
+    first = [diamond(2, 3), k_radius(2, 1, 3, sharp_r=True), k_radius(2, 2, 3, sharp_k=True)]
+    second = [moore(3, 2), diamond(3, 2, sharp_r=True), k_radius(3, 2, 2, sharp_k=True, sharp_r=True)]
+    for spec in itertools.chain.from_iterable(zip(first, second)):
+        assert brute_force_count(spec) == _scalar_count(spec)
+
+
+@pytest.mark.parametrize("spec", [moore(1, 10**6), diamond(1, 10**6)])
+def test_box_scan_memory_does_not_grow_with_r(spec):
+    # a tally sized by r, or a bincount over sum |c| or max |c|, would hold
+    # millions of entries here; the chunks of the scan bound its peak
+    _box_tally.cache_clear()
+    tracemalloc.start()
+    try:
+        found = brute_force_count(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == 2 * 10**6
+    assert peak < 8 * 2**20
 
 
 def test_high_dimension_small_count_stays_fast():
