@@ -274,8 +274,10 @@ def test_box_scan_specs_of_two_boxes_in_turn():
     # spec is read from the tally of its own box
     first = [diamond(2, 3), k_radius(2, 1, 3, sharp_r=True), k_radius(2, 2, 3, sharp_k=True)]
     second = [moore(3, 2), diamond(3, 2, sharp_r=True), k_radius(3, 2, 2, sharp_k=True, sharp_r=True)]
+    _box_tally.cache_clear()
     for spec in itertools.chain.from_iterable(zip(first, second)):
         assert brute_force_count(spec) == _scalar_count(spec)
+    assert _box_tally.cache_info().misses == 6
 
 
 @pytest.mark.parametrize("spec", [moore(1, 10**6), diamond(1, 10**6)])
