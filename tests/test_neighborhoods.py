@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbhd import (
@@ -303,6 +303,11 @@ def test_high_dimension_small_count_stays_fast():
 
 @settings(deadline=None, max_examples=150)
 @given(spec=_small_specs())
+# either side of the int8 -> int16 switch at r = 128, where -r - 1 leaves int8
+@example(spec=k_radius(2, 2, 127, sharp_r=True))
+@example(spec=k_radius(2, 1, 128))
+@example(spec=diamond(2, 127))
+@example(spec=diamond(2, 128, sharp_r=True))
 def test_offset_array_is_the_filtered_box(spec):
     box = itertools.product(range(-spec.r, spec.r + 1), repeat=spec.dimension)
     assert offset_array(spec).tolist() == [list(p) for p in box if contains(spec, p)]
