@@ -39,7 +39,8 @@ Offset = tuple[int, ...]
 
 # Safety rails for counts, enumeration, box scans, grids and sequence terms.
 DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
-# at its peak offset_array holds 3-13 bytes per component, enumerate_offsets 20-70
+# at its peak offset_array holds 3-12 bytes per component (16 in one dimension,
+# where the sort's int64 order is half the peak), enumerate_offsets 20-70
 DEFAULT_OFFSET_CAP = 2**24  # components, offsets * dimension
 DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory stays bounded
 # a step holds its padded copy and the count plan's partial sums, each padded
@@ -237,71 +238,59 @@ def contains(spec: NeighborhoodSpec, delta: Sequence[int]) -> bool:
     return largest == spec.r if spec.sharp_r else True
 
 
-def _nonzero(r: int, dtype) -> np.ndarray:
-    return np.concatenate((np.arange(-r, 0, dtype=dtype), np.arange(1, r + 1, dtype=dtype)))
+def _magnitudes(j: int, r: int, diamond: bool, sharp_r: bool, dtype) -> list[np.ndarray]:
+    """The m(j) rows of magnitudes 1..r of the members on j given axes, as
+    their j columns.  One axis at a time, each prefix row takes every value of
+    its own lo..hi, as a ragged arange.  A diamond row leaves 1 for each later
+    axis, and on the shell its last value is what is left of r.  A k-radius
+    row takes 1..r, and on the shell its last value is r unless an earlier
+    one was."""
+    columns: list[np.ndarray] = []
+    hi = np.full(1, r - j + 1 if diamond else r, dtype)  # per prefix, its next value's bound
+    edge = np.zeros(1, bool)  # a k-radius prefix holds an r
+    for axis in range(j):
+        lo = 1
+        if sharp_r and axis == j - 1:
+            lo = hi if diamond else np.where(edge, 1, hi)
+        room = (hi - lo).astype(np.intp) + 1
+        source = np.repeat(np.arange(len(hi)), room)  # each prefix, once per value
+        value = (np.arange(len(source)) - np.repeat(np.cumsum(room) - room - lo, room)).astype(dtype)
+        columns = [column[source] for column in columns] + [value]
+        if diamond:  # leave 1 for each later axis
+            hi = hi[source] - value + 1
+        else:
+            hi, edge = hi[source], edge[source] | (value == r)
+    return columns
 
 
-def _product(columns: list[np.ndarray]) -> np.ndarray:
-    """Rows of the cartesian product of ``columns``, one column each."""
-    grids = np.meshgrid(*columns, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _k_radius_values(j: int, r: int, sharp_r: bool, dtype) -> np.ndarray:
-    """(m, j) rows of values in -r..r without 0 (with some +-r on the shell)."""
-    if not sharp_r:
-        return _product([_nonzero(r, dtype)] * j)
-    # a shell row is made once, from the axis of its first +-r: axes before it
-    # stay inside r (j = 1 builds no range, however large r is)
-    edge = np.array([-r, r], dtype=dtype)
-    if j == 1:
-        return edge[:, None]
-    inner, outer = _nonzero(r - 1, dtype), _nonzero(r, dtype)
-    return np.concatenate(
-        [_product([inner] * first + [edge] + [outer] * (j - 1 - first)) for first in range(j)]
-    )
-
-
-def _diamond_values(j: int, r: int, sharp_r: bool, dtype) -> np.ndarray:
-    """(m, j) rows of nonzero values whose magnitudes sum to at most r
-    (exactly r on the shell)."""
-    magnitudes = np.zeros((1, 0), dtype)
-    total = np.zeros(1, dtype)
-    for axis in range(j - 1 if sharp_r else j):
-        # each prefix keeps at least 1 for every axis after it, so none is a dead end
-        room = (r - (j - 1 - axis) - total).astype(np.intp)
-        source = np.repeat(np.arange(len(total)), room)
-        value = (np.arange(1, len(source) + 1) - np.repeat(np.cumsum(room) - room, room)).astype(dtype)
-        magnitudes = np.column_stack((magnitudes[source], value))
-        total = total[source] + value
-    if sharp_r:  # the last magnitude is whatever is left of r
-        magnitudes = np.column_stack((magnitudes, r - total))
-    signs = _product([np.array([-1, 1], dtype=dtype)] * j)
-    return (magnitudes[:, None, :] * signs[None, :, :]).reshape(-1, j)
-
-
-def _scatter(d: int, values: np.ndarray) -> np.ndarray:
-    """Rows of d components: each row of ``values`` on every choice of its
-    number of axes, zeros elsewhere."""
-    j = values.shape[1]
+def _block(d: int, magnitudes: list[np.ndarray]) -> np.ndarray:
+    """The members with j nonzero components, j the number of ``magnitudes``
+    columns: each row under each of the 2^j sign rows, written onto each of
+    the C(d, j) choices of nonzero axes one column at a time, zeros elsewhere."""
+    j, dtype = len(magnitudes), magnitudes[0].dtype
+    signs = np.array(list(itertools.product((-1, 1), repeat=j)), dtype)
     axes = np.array(list(itertools.combinations(range(d), j)), dtype=np.intp)
-    block = np.zeros((len(axes), len(values), d), dtype=values.dtype)
-    placement, row = np.ogrid[: len(axes), : len(values)]
-    block[placement[:, :, None], row[:, :, None], axes[:, None, :]] = values
+    block = np.zeros((len(axes), len(magnitudes[0]) << j, d), dtype)
+    for column, (values, sign) in enumerate(zip(magnitudes, signs.T)):
+        block[np.arange(len(axes)), :, axes[:, column]] = (values[:, None] * sign).ravel()
     return block.reshape(-1, d)
 
 
 def offset_array(spec: NeighborhoodSpec) -> np.ndarray:
     """All member offsets of ``spec`` as an (n, d) array in lexicographic order.
 
-    One block per number j of nonzero components: its (m, j) value rows are
-    made once and scattered into the C(d, j) choices of nonzero axes, so no
-    intermediate array is larger than its block.  Each member is made once,
-    since its nonzero axes and values determine it.  The dtype is the
-    narrowest signed integer type that holds -r..r (int8 up to r = 127), or
-    object, holding exact Python ints, past int64.  Raises CapacityError,
-    before any offset is made, when the offsets hold more than
-    DEFAULT_OFFSET_CAP (2**24) components in all, count(spec) * dimension.
+    The members are made as the paper counts them, C(d, j) * 2^j * m(j) with
+    j nonzero components: one block per j, whose m(j) magnitude rows (r^j
+    for a k-radius, C(r, j) for a diamond, fewer on a shell) come from one
+    walk shared by both families, then take each of the 2^j sign rows and
+    each of the C(d, j) choices of nonzero axes.  Each member is made once,
+    since its nonzero axes, signs and magnitudes determine it, and one
+    np.lexsort orders them.  counting._count_terms makes the same term as a
+    number.  The dtype is the narrowest signed integer type that holds
+    -r..r (int8 up to r = 127), or object, holding exact Python ints, past
+    int64.  Raises CapacityError, before any offset is made, when the
+    offsets hold more than DEFAULT_OFFSET_CAP (2**24) components in all,
+    count(spec) * dimension.
     """
     from .counting import count  # counting imports this module; import at call time
 
@@ -314,12 +303,12 @@ def offset_array(spec: NeighborhoodSpec) -> np.ndarray:
     d, r = spec.dimension, spec.r
     # narrow keys also make np.lexsort's per-key sorts radix sorts (<= 16 bits)
     dtype = np.min_scalar_type(-r - 1)
-    if spec.family is Family.DIAMOND:
-        blocks = [_diamond_values(j, r, spec.sharp_r, dtype) for j in range(1, min(d, r) + 1)]
+    diamond = spec.family is Family.DIAMOND
+    if diamond:
+        sizes = range(1, min(d, r) + 1)
     else:
         sizes = (spec.k,) if spec.sharp_k else range(1, spec.k + 1)
-        blocks = [_k_radius_values(j, r, spec.sharp_r, dtype) for j in sizes]
-    rows = np.concatenate([_scatter(d, values) for values in blocks])
+    rows = np.concatenate([_block(d, _magnitudes(j, r, diamond, spec.sharp_r, dtype)) for j in sizes])
     return rows[np.lexsort(rows.T[::-1])]
 
 

@@ -334,6 +334,23 @@ def test_shells_are_built_without_their_box(spec, n):
     assert len(enumerate_offsets(spec)) == n
 
 
+@pytest.mark.parametrize(
+    "spec, bound",
+    [(moore(2, 1000), 13), (diamond(3, 150), 10), (k_radius(3, 3, 100, sharp_r=True), 8)],
+)
+def test_offset_array_peak_per_component(spec, bound):
+    # peak bytes per component of the output (int16, int16, int8); the peak
+    # is at the sort, and blocks kept alive through it exceed these bounds
+    tracemalloc.start()
+    try:
+        rows = offset_array(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == count(spec)
+    assert peak <= bound * rows.size
+
+
 def test_huge_radius_offsets_are_exact_ints():
     spec = k_radius(3, 1, 10**20, sharp_r=True)
     got = enumerate_offsets(spec)
