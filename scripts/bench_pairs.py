@@ -16,8 +16,8 @@ whether the change's median beats the parent's by more than the parent's
 interquartile range.  It also records the seeds, the run length, the machine
 and, per checkout, its git HEAD and a sha256 of the Python files under src/
 and perfbench/, which names the code that ran even when it is not committed.
-A run that fails or prints a wrong result is recorded as such and left out
-of the summary; the script exits 1 if any did.
+A run that fails or prints a wrong result is recorded as such, left out of
+the quartiles and counted as a pair not won; the script exits 1 if any did.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def summarise(pairs: list[dict[str, dict]], better: dict[str, str]) -> dict[str,
             "change_lost": sum(g < 0 for g in gains),
             "median_gain": gap,
             "parent_iqr": iqr,
-            # at least nine tenths of the pairs won, and a median gap wider
-            # than the parent's own spread
-            "gain_shown": sum(g > 0 for g in gains) >= 0.9 * len(gains) and gap > iqr,
+            # at least nine tenths of all pairs run won, a failed one counting
+            # as not won, and a median gap wider than the parent's own spread
+            "gain_shown": sum(g > 0 for g in gains) >= 0.9 * len(pairs) and gap > iqr,
         }
     return summary
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import decimal
 import enum
+import io
 import itertools
 import operator
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
@@ -22,12 +23,10 @@ from .counting import _count_terms
 from .errors import CapacityError, DomainError, ParseError
 from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact, _expect, _text_line, format_term
 
-# text of sequence output joined into one write: a closed pipe shows at the
-# next write, so this bounds what is formatted after the reader has gone
-_CHARS_PER_WRITE = 2**20
-# text joined and measured at once, taken as that many lines of the last
-# length seen: sizing each line in Python cost about 5 ms a pass over
-# catalog's five b-files of 10000 short lines
+# text of sequence output joined into one write, taken as that many lines of
+# the last length seen: a closed pipe shows at the next write, so this bounds
+# what is formatted after the reader has gone; sizing each line in Python cost
+# about 5 ms a pass over catalog's five b-files of 10000 short lines
 _CHARS_PER_BATCH = 2**14
 
 
@@ -109,39 +108,29 @@ def generate(seq_id: SequenceId, terms: int) -> list[SequenceEntry]:
 
 def _write_terms(seq_id: SequenceId, terms: int, sink: IO[bytes], bfile: bool) -> None:
     """Write the first ``terms`` terms to ``sink``, one line each: "n a(n)" in a
-    b-file, the term alone otherwise.  A write once the lines reach
-    _CHARS_PER_WRITE characters, so at most that plus one line, never one
-    string: A024023 at the term cap holds about 10**9 digits.  Lines are
-    joined about _CHARS_PER_BATCH characters at a time, and taken one at a
-    time only in the batch where a write falls."""
+    b-file, the term alone otherwise.  Each write is one batch of whole lines,
+    never the whole text as one string (A024023 at the term cap holds about
+    10**9 digits): n lines, n at most doubling from 1 and at most
+    _CHARS_PER_BATCH // (length of the last line + 1) + 1.  So what is
+    formatted after a closed pipe is at most one batch."""
     offset, values = _terms(seq_id, terms)
     lines = map(format_term, values)
     if bfile:
         lines = map(" ".join, zip(map(format_term, itertools.count(offset)), lines))
-    pending, size, n = [], 0, 1  # text not yet written, and its length
+    n = 1
     while batch := list(itertools.islice(lines, n)):
         # at most twice the last batch, as lines may grow within one
         n = min(2 * n, _CHARS_PER_BATCH // (len(batch[-1]) + 1) + 1)
-        text = "\n".join(batch) + "\n"
-        if size + len(text) < _CHARS_PER_WRITE:
-            pending.append(text)
-            size += len(text)
-            continue
-        for line in batch:  # the bound is reached in this batch: find the line
-            pending.append(line + "\n")
-            size += len(line) + 1
-            if size >= _CHARS_PER_WRITE:
-                sink.write("".join(pending).encode("ascii"))
-                pending, size = [], 0
-    if pending:
-        sink.write("".join(pending).encode("ascii"))
+        sink.write(("\n".join(batch) + "\n").encode("ascii"))
 
 
 def emit_bfile(seq_id: SequenceId, terms: int, sink: IO[bytes]) -> None:
     """Write the sequence to ``sink`` in OEIS b-file format; a sink with no
-    write method raises DomainError before any term is made."""
+    write method, or a text one, raises DomainError before any term is made."""
     if not callable(getattr(sink, "write", None)):
         raise DomainError(f"sink must have a write method, got {type(sink).__name__}")
+    if isinstance(sink, io.TextIOBase):
+        raise DomainError(f"sink must take bytes, got text stream {type(sink).__name__}")
     _write_terms(seq_id, terms, sink, bfile=True)
 
 

@@ -95,6 +95,7 @@ WRONG_TYPE_SITES = {
     "render-snapshot-int": (nbhd.DomainError, lambda: nbhd.render_snapshot(5)),
     "format-rule-str": (nbhd.DomainError, lambda: nbhd.format_rule("B3/S23")),
     "emit-bfile-none": (nbhd.DomainError, lambda: nbhd.emit_bfile(nbhd.SequenceId.A005843, 3, None)),
+    "emit-bfile-text-sink": (nbhd.DomainError, lambda: nbhd.emit_bfile(nbhd.SequenceId.A005843, 3, io.StringIO())),
     "format-offset-bare": (nbhd.DimensionError, lambda: nbhd.format_offset(5)),
     "make-grid-bare-cells": (nbhd.DimensionError, lambda: nbhd.make_grid((3, 3), live_cells=5)),
     "make-grid-0d-cells": (nbhd.DimensionError, lambda: nbhd.make_grid((3, 3), live_cells=np.array(5))),

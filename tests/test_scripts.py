@@ -35,7 +35,14 @@ def test_bench_pairs_summary():
     assert lower["change"] == {"q1": 8.375, "median": 8.75, "q3": 9.5}
     assert (lower["change_won"], lower["change_lost"]) == (3, 1)
     assert (lower["median_gain"], lower["parent_iqr"]) == (2.0, 0.875)
-    assert lower["gain_shown"] is False  # 3 of 4 pairs won, under nine tenths
+    assert lower["gain_shown"] is False  # 3 of 5 pairs won, under nine tenths
     higher = summarise(pairs[:3], {"t": "higher"})["t"]
     assert (higher["change_won"], higher["change_lost"], higher["gain_shown"]) == (0, 3, False)
     assert summarise(pairs[:3], {"t": "lower"})["t"]["gain_shown"] is True
+    # eight pairs won of ten run, two with a failed change run: under nine tenths
+    won = [{"parent": {"ok": True, "metrics": {"t": 10.0 + i}}, "change": {"ok": True, "metrics": {"t": 5.0}}}
+           for i in range(8)]
+    failed = {"parent": {"ok": True, "metrics": {"t": 10.0}}, "change": {"ok": False}}
+    eight = summarise(won + [failed, failed], {"t": "lower"})["t"]
+    assert (eight["pairs"], eight["change_won"], eight["gain_shown"]) == (8, 8, False)
+    assert summarise(won + [won[0], failed], {"t": "lower"})["t"]["gain_shown"] is True

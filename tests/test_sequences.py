@@ -133,49 +133,73 @@ class WriteSink(io.BytesIO):
         return super().write(data)
 
 
+def _batch_bound(last_line):
+    # a batch is n <= _CHARS_PER_BATCH // (L + 1) + 1 lines, L the length of
+    # the line before it, and n <= 2**k <= the lines before it + 1.  A024023's
+    # b-file lines only lengthen, and line 2m + 2 has at most twice the digits
+    # of line m (9 * (3**m)**2 is at most one digit past twice 3**m's), so no
+    # line of a batch is more than twice as long as the one before it: a write
+    # of n such lines is at most 2 * _CHARS_PER_BATCH plus the longest line
+    return 2 * sequences._CHARS_PER_BATCH + len(last_line)
+
+
 def test_writes_are_bounded_by_text_not_by_lines():
-    # a closed pipe shows at a write, so a write of at most about 1 MiB bounds
+    # a closed pipe shows at a write, so a write of at most one batch bounds
     # the digits formatted after the reader has gone
     sink = WriteSink()
     emit_bfile(SequenceId.A024023, 9100, sink)
     last_line = f"9099 {format_term(3**9099 - 1)}\n"
-    assert len(sink.writes) > 1 and max(map(len, sink.writes)) <= 2**20 + len(last_line)
+    assert len(sink.writes) > 1 and max(map(len, sink.writes)) <= _batch_bound(last_line)
 
 
-def test_a_closed_reader_stops_the_formatting_near_the_first_write(monkeypatch):
-    # a closed pipe shows at the first write, so what is formatted before it
-    # is about one write's text, however fast the lines grow
+@pytest.mark.parametrize("taken", [0, 2**20])
+def test_a_closed_reader_stops_the_formatting_near_the_first_write(monkeypatch, taken):
+    # a closed pipe shows at the first write after it, so what is formatted
+    # past the text written is one batch, however fast the lines grow
     formatted = []
 
     def counted(value):
         formatted.append(text := format_term(value))
         return text
 
-    class Closed(io.RawIOBase):
+    class Closed(io.BytesIO):
         def write(self, data):
-            raise BrokenPipeError
+            if self.tell() >= taken:
+                raise BrokenPipeError
+            return super().write(data)
 
     monkeypatch.setattr(sequences, "format_term", counted)
+    sink = Closed()
     with pytest.raises(BrokenPipeError):
-        emit_bfile(SequenceId.A024023, 9100, Closed())
-    assert sum(map(len, formatted)) <= 2**20 + 2**16
+        emit_bfile(SequenceId.A024023, 9100, sink)
+    written = sink.getvalue()
+    digits_written = len(written) - 2 * written.count(b"\n")  # a space and a newline a line
+    last_line = f"9099 {format_term(3**9099 - 1)}\n"
+    assert sum(map(len, formatted)) - digits_written <= _batch_bound(last_line)
+    if not taken:
+        assert formatted == ["0", "0"]  # the first batch is one line
 
 
+@pytest.mark.parametrize("bfile", [True, False], ids=["bfile", "plain"])
 @pytest.mark.parametrize("seq_id", list(SequenceId))
 @pytest.mark.parametrize("chars", [1, 100, 5000])
-def test_each_write_ends_at_the_line_that_reaches_the_bound(monkeypatch, seq_id, chars):
-    # lines are sized a batch at a time; the cut still falls on the first line
-    # at which the text reaches the bound, in and across batches
+def test_each_write_is_one_batch_of_whole_lines(monkeypatch, seq_id, chars, bfile):
+    # batch k + 1 is twice batch k's lines but at most _CHARS_PER_BATCH // (L + 1)
+    # + 1, L the length of batch k's last line; only the last batch is short
     whole = io.BytesIO()
-    emit_bfile(seq_id, 2000, whole)
-    monkeypatch.setattr(sequences, "_CHARS_PER_WRITE", chars)
+    sequences._write_terms(seq_id, 2000, whole, bfile)
+    monkeypatch.setattr(sequences, "_CHARS_PER_BATCH", chars)
     sink = WriteSink()
-    emit_bfile(seq_id, 2000, sink)
-    assert sink.getvalue() == whole.getvalue()
-    for data in sink.writes:
+    sequences._write_terms(seq_id, 2000, sink, bfile)
+    assert b"".join(sink.writes) == whole.getvalue()
+    assert all(data.endswith(b"\n") for data in sink.writes)
+    lines = [data.count(b"\n") for data in sink.writes]
+    n = 1
+    for i, data in enumerate(sink.writes):
+        assert lines[i] == n or (i == len(lines) - 1 and lines[i] < n)
         last_line = data[data.rstrip(b"\n").rfind(b"\n") + 1 :]
-        assert len(data) - len(last_line) < chars
-    assert all(len(data) >= chars for data in sink.writes[:-1])
+        n = min(2 * n, chars // len(last_line) + 1)
+    assert sum(lines) == 2000
 
 
 def test_self_diff_is_empty():
