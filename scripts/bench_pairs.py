@@ -13,7 +13,10 @@ compiles the sources afresh, reading and writing no bytecode cache.
 The JSON holds every run's end-to-end metrics, and per workload and metric
 each side's median and quartiles, the pairs the change won and lost, and
 whether the change's median beats the parent's by more than the parent's
-interquartile range.  It also records the seeds, the run length, the machine
+interquartile range.  For the no-regression rule it holds how much worse the
+change's median is than the parent's, relative to it, whether that is within
+the metric's bound in BENCHMARK.json, and whether the parent's own spread is
+too wide for the bound to tell.  It also records the seeds, the run length, the machine
 and, per checkout, its git HEAD and a sha256 of the Python files under src/
 and perfbench/, which names the code that ran even when it is not committed.
 A run that fails or prints a wrong result is recorded as such, left out of
@@ -63,8 +66,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "failed": result["failed"], "metrics": metrics}
 
 
-def summarise(pairs: list[dict[str, dict]], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric: each side's quartiles, wins and losses, and the claim test."""
+def summarise(pairs: list[dict[str, dict]], better: dict[str, str], bounds: dict[str, float]) -> dict[str, dict]:
+    """Per metric: each side's quartiles, wins and losses, the claim test,
+    and the no-regression test against the metric's relative bound."""
     good = [p for p in pairs if p["parent"]["ok"] and p["change"]["ok"]]
     summary = {}
     for name, direction in better.items():
@@ -77,6 +81,9 @@ def summarise(pairs: list[dict[str, dict]], better: dict[str, str]) -> dict[str,
         gains = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
         gap = sign * (stats["parent"]["median"] - stats["change"]["median"])
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        worse_by = -gap / stats["parent"]["median"]
+        beats_all = len(good) == len(pairs) and max(sign * v for v in values["change"]) < min(
+            sign * v for v in values["parent"])
         summary[name] = {
             "better": direction,
             "pairs": len(good),
@@ -88,6 +95,14 @@ def summarise(pairs: list[dict[str, dict]], better: dict[str, str]) -> dict[str,
             # at least nine tenths of all pairs run won, a failed one counting
             # as not won, and a median gap wider than the parent's own spread
             "gain_shown": sum(g > 0 for g in gains) >= 0.9 * len(pairs) and gap > iqr,
+            # the change's median relative to the parent's, positive when worse
+            "worse_by": worse_by,
+            "bound": bounds[name],
+            "within_bound": worse_by <= bounds[name],
+            # the parent's spread is wider than the bound, so the bound cannot
+            # tell a regression from noise, unless every change run beat every
+            # parent run
+            "unresolved": iqr / stats["parent"]["median"] > bounds[name] and not beats_all,
         }
     return summary
 
@@ -137,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = list(range(1, PAIRS + 1))
     sources = {side: source(path) for side, path in checkouts.items()}
@@ -158,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload} pair {i + 1}/{len(seeds)} seed {seed}: " + "; ".join(
                 f"{name} {shown['parent'].get(name, float('nan')):.4g} -> {shown['change'].get(name, float('nan')):.4g}"
                 for name in better), file=sys.stderr)
-        results[workload] = {"summary": summarise(pairs, better), "pairs": pairs}
+        results[workload] = {"summary": summarise(pairs, better, bounds), "pairs": pairs}
 
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({

@@ -259,15 +259,15 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
 
 def _step_rows(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> np.ndarray:
     """``offsets`` as step and run read them, an (n, d) integer array, once
-    the grid, rule and n are checked.  Rows of Python ints (past int64, say)
-    become the int64 rows that read the same cells: modulo each axis on a
-    torus, and clipped to one axis length, still reading only dead cells, on
-    a fixed-dead grid."""
+    the grid, rule and n are checked.  Rows of a type that int64 does not
+    hold (Python ints, uint64) become the int64 rows that read the same
+    cells, since _count_plan casts to int64: modulo each axis on a torus,
+    and clipped to one axis length, reading only dead cells, if fixed-dead."""
     _expect(grid, Grid, "grid")
     _expect(rule, Rule, "rule")
     rows = _rows(offsets, len(grid.dims), "offset", "grid dimension")
     rule.check_fits(len(rows))
-    if rows.dtype == object:
+    if not np.can_cast(rows.dtype, np.int64):
         dims = np.array(grid.dims, dtype=object)
         rows = (rows % dims if grid.boundary is Boundary.TOROIDAL else np.clip(rows, -dims, dims)).astype(np.int64)
     return rows
@@ -371,7 +371,7 @@ def _count_plan(rows: bytes, dtype: np.dtype, dims: tuple[int, ...], boundary: B
     """(reach, sums): how _index sums views of the padded grid into counts.
 
     ``rows`` and ``dtype`` are the bytes and type of the (n, d) offsets,
-    read back as Python ints, so the cache is keyed by value.  The offsets
+    read back as an int64 array, so the cache is keyed by value.  The offsets
     and the zero offset (the cell itself) form a tree, built from axis 0 up:
     at axis i a node is the sorted multiset of (component on axis i, child
     node) over the offsets that agree on the axes after i, held as
@@ -392,29 +392,29 @@ def _count_plan(rows: bytes, dtype: np.dtype, dims: tuple[int, ...], boundary: B
     which it is the last to read.  A sum over axes 0..i is cropped on those
     axes and padded on the others; the last sum is the root, count + state.
     """
-    d = len(dims)
-    offsets = map(tuple, np.frombuffer(rows, dtype).reshape(-1, d).tolist())
+    d, n = len(dims), np.array(dims, dtype=np.int64)
+    offsets = np.frombuffer(rows, dtype).reshape(-1, d).astype(np.int64)
     # keep every pad within its axis: on a torus fold each component into
-    # [-n//2, n - n//2); on a fixed-dead grid drop an offset that reaches a
-    # whole axis length, since it reads only dead cells.  A folded repeat is
-    # one cell read through several offsets, so it counts once per offset:
-    # one view, multiplied.
+    # [-n//2, n - n//2) (rows % n first, which cannot wrap); on a fixed-dead
+    # grid drop an offset that reaches a whole axis length, as it reads only
+    # dead cells.  A folded repeat is one cell read through several offsets:
+    # each distinct offset, in the order first read, is one entry, multiplied.
     if boundary is Boundary.TOROIDAL:
-        near = [tuple((o + n // 2) % n - n // 2 for o, n in zip(off, dims)) for off in offsets]
+        offsets = (offsets % n + n // 2) % n - n // 2
     else:
-        near = [off for off in offsets if all(abs(o) < n for o, n in zip(off, dims))]
-    near.append((0,) * d)
-    reach = tuple(max(abs(off[i]) for off in near) for i in range(d))
+        offsets = offsets[((-n < offsets) & (offsets < n)).all(axis=1)]
+    reach = tuple(np.abs(offsets).max(axis=0, initial=0).tolist())
+    near = Counter(zip(*offsets.T.tolist()))
+    near[(0,) * d] += 1
 
-    # node ids in the order made, node 0 being the padded grid; tops pairs
-    # each node of the last axis done with the components after it
+    # node ids in the order made, node 0 the padded grid; tops: (components left, node, times)
     nodes: dict[tuple, int] = {(-1, ()): 0}
-    tops = [(off, 0) for off in near]
+    tops = [(off, 0, m) for off, m in near.items()]
     for axis in range(d):
         groups: defaultdict[tuple, Counter] = defaultdict(Counter)
-        for rest, child in tops:
-            groups[rest[1:]][rest[0], child] += 1
-        tops = [(rest, nodes.setdefault((axis, tuple(sorted(entries.items()))), len(nodes)))
+        for rest, child, m in tops:
+            groups[rest[1:]][rest[0], child] += m
+        tops = [(rest, nodes.setdefault((axis, tuple(sorted(entries.items()))), len(nodes)), 1)
                 for rest, entries in groups.items()]
     tree = list(nodes)  # tree[node] = (axis, entries)
 

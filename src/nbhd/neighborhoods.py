@@ -40,7 +40,8 @@ Offset = tuple[int, ...]
 # Safety rails for counts, enumeration, box scans, grids and sequence terms.
 DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
 # at its peak offset_array holds 3-12 bytes per component (16 in one dimension,
-# where the sort's int64 order is half the peak), enumerate_offsets 20-70
+# where the sort's int64 order is half the peak); the public enumerate_offsets'
+# tuples 20-70, which simulate does not make
 DEFAULT_OFFSET_CAP = 2**24  # components, offsets * dimension
 DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory stays bounded
 # a step holds its padded copy and the count plan's partial sums, each padded

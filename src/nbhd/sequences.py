@@ -126,10 +126,12 @@ def _write_terms(seq_id: SequenceId, terms: int, sink: IO[bytes], bfile: bool) -
 
 def emit_bfile(seq_id: SequenceId, terms: int, sink: IO[bytes]) -> None:
     """Write the sequence to ``sink`` in OEIS b-file format; a sink with no
-    write method, or a text one, raises DomainError before any term is made."""
+    write method, or a text one (an io.TextIOBase, or a str mode without
+    "b"), raises DomainError before any term is made."""
     if not callable(getattr(sink, "write", None)):
         raise DomainError(f"sink must have a write method, got {type(sink).__name__}")
-    if isinstance(sink, io.TextIOBase):
+    mode = getattr(sink, "mode", None)  # gzip's is an int, and BytesIO has none
+    if isinstance(sink, io.TextIOBase) or (isinstance(mode, str) and "b" not in mode):
         raise DomainError(f"sink must take bytes, got text stream {type(sink).__name__}")
     _write_terms(seq_id, terms, sink, bfile=True)
 

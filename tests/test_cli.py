@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -653,6 +654,27 @@ def test_simulate_padded_grid_past_the_cell_cap_is_one_error_line(capsys, tmp_pa
         )
         assert code == 1 and out == ""
         assert err == "error: padded grid of 144 cells would exceed the cap of 120\n"
+
+
+@pytest.mark.parametrize("boundary", ["torus", "dead"])
+def test_simulate_peak_per_offset_component(capsys, tmp_path, boundary):
+    # moore(2, 100): 40400 offsets, 80800 components.  simulate steps
+    # offset_array's int8 rows, and the plan folds an int64 copy of them and
+    # reads its columns once: about 31 bytes per component on the torus and
+    # 14 fixed-dead.  A list of offset tuples, and a plan that reads it one
+    # component at a time, peaked at 159 and 118; 64 lies between the two.
+    pattern = tmp_path / "glider.txt"
+    pattern.write_text(GLIDER_LINES)
+    engine._count_plan.cache_clear()  # else an earlier test's plan is reused
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "simulate", "--dims", "16,16", "--k", "2", "--r", "100", "--rule", "B3/S23",
+                             "--steps", "2", "--pattern", str(pattern), "--boundary", boundary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 64 * 2 * (201**2 - 1)
 
 
 def test_simulate_bad_rule_is_usage_error(tmp_path):

@@ -184,6 +184,16 @@ def test_make_grid_and_step_read_components_past_int64_exactly(form):
     assert str(exc.value) == "cell (9223372036854775808, 18446744073709551617) outside grid of dims (5, 4)"
 
 
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_step_folds_uint64_offsets_past_int64_exactly(boundary):
+    # 2**63 is 3 on an axis of 5, and 2**64 - 1 is 3 on an axis of 4; cast
+    # to int64 they would wrap to -2**63, which is 2 on the axis of 5, and -1
+    grid, rule = make_grid((5, 4), boundary, ROWS), Rule(frozenset({1}), frozenset({1, 2}))
+    big = np.array([(2**63, 2**64 - 1), (0, 1)], dtype=np.uint64)
+    same = [(3, 3), (0, 1)] if boundary is Boundary.TOROIDAL else [(5, 4), (0, 1)]
+    assert step(grid, rule, big) == step(grid, rule, same)
+
+
 @pytest.mark.parametrize("form", ["list", "generator", "object"])
 def test_make_grid_and_step_name_a_ragged_row_alike(form):
     ragged = [(0, 0), (1, 1, 1)]

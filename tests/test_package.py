@@ -1,6 +1,7 @@
 import inspect
 import io
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -57,6 +58,11 @@ def test_huge_ints_in_error_messages_keep_the_error_type(site):
 # TypeError or AttributeError from outside the package.
 _GRID = nbhd.make_grid((4, 4))
 _BLINKER = nbhd.make_grid((5, 5), live_cells=[(2, 1), (2, 2), (2, 3)])
+def _emit_to_spooled_text():
+    with tempfile.SpooledTemporaryFile(mode="w+") as sink:
+        nbhd.emit_bfile(nbhd.SequenceId.A005843, 3, sink)
+
+
 WRONG_TYPE_SITES = {
     "contains-float": (nbhd.DomainError, lambda: nbhd.contains(nbhd.moore(2), (1.5, 0))),
     "contains-str": (nbhd.DomainError, lambda: nbhd.contains(nbhd.moore(2), ("a", 0))),
@@ -96,6 +102,8 @@ WRONG_TYPE_SITES = {
     "format-rule-str": (nbhd.DomainError, lambda: nbhd.format_rule("B3/S23")),
     "emit-bfile-none": (nbhd.DomainError, lambda: nbhd.emit_bfile(nbhd.SequenceId.A005843, 3, None)),
     "emit-bfile-text-sink": (nbhd.DomainError, lambda: nbhd.emit_bfile(nbhd.SequenceId.A005843, 3, io.StringIO())),
+    # a text sink that is no io.TextIOBase, told by its mode
+    "emit-bfile-spooled-text-sink": (nbhd.DomainError, _emit_to_spooled_text),
     "format-offset-bare": (nbhd.DimensionError, lambda: nbhd.format_offset(5)),
     "make-grid-bare-cells": (nbhd.DimensionError, lambda: nbhd.make_grid((3, 3), live_cells=5)),
     "make-grid-0d-cells": (nbhd.DimensionError, lambda: nbhd.make_grid((3, 3), live_cells=np.array(5))),

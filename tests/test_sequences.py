@@ -1,5 +1,7 @@
+import gzip
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,17 @@ def test_emit_examples():
     buf = io.BytesIO()
     emit_bfile(SequenceId.A024023, 2, buf)
     assert buf.getvalue() == b"0 0\n1 2\n"
+
+
+def test_emit_takes_binary_sinks_whatever_their_mode(tmp_path):
+    # emit_bfile refuses a text sink by its str mode; gzip's mode is an int,
+    # and BytesIO has none
+    with gzip.open(tmp_path / "b.txt.gz", "wb") as zipped, tempfile.SpooledTemporaryFile(mode="w+b") as spooled:
+        for sink in (zipped, spooled, io.BytesIO()):
+            emit_bfile(SequenceId.A005843, 3, sink)
+        spooled.seek(0)
+        assert spooled.read() == b"0 0\n1 2\n2 4\n"
+    assert gzip.decompress((tmp_path / "b.txt.gz").read_bytes()) == b"0 0\n1 2\n2 4\n"
 
 
 def test_emit_past_the_int_to_str_limit():
