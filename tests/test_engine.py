@@ -185,13 +185,15 @@ def test_make_grid_and_step_read_components_past_int64_exactly(form):
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))
-def test_step_folds_uint64_offsets_past_int64_exactly(boundary):
-    # 2**63 is 3 on an axis of 5, and 2**64 - 1 is 3 on an axis of 4; cast
-    # to int64 they would wrap to -2**63, which is 2 on the axis of 5, and -1
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_step_reads_fixed_width_offsets_at_their_extremes_exactly(boundary, dtype):
+    # the extremes of each type, folded onto the 5x4 torus or dropped from the
+    # fixed-dead grid as the same offsets as Python ints are: uint64 past
+    # int64 is not wrapped, and an int64 fold does not overflow
+    info = np.iinfo(dtype)
+    big = np.array([(info.max, info.min), (info.min, info.max - 1), (info.max - 2, 1), (0, 1)], dtype=dtype)
     grid, rule = make_grid((5, 4), boundary, ROWS), Rule(frozenset({1}), frozenset({1, 2}))
-    big = np.array([(2**63, 2**64 - 1), (0, 1)], dtype=np.uint64)
-    same = [(3, 3), (0, 1)] if boundary is Boundary.TOROIDAL else [(5, 4), (0, 1)]
-    assert step(grid, rule, big) == step(grid, rule, same)
+    assert step(grid, rule, big) == step(grid, rule, np.array(big.tolist(), dtype=object))
 
 
 @pytest.mark.parametrize("form", ["list", "generator", "object"])
