@@ -16,9 +16,10 @@ whether the change's median beats the parent's by more than the parent's
 interquartile range.  For the no-regression rule it holds how much worse the
 change's median is than the parent's, relative to it, whether that is within
 the metric's bound in BENCHMARK.json, and whether the parent's own spread is
-too wide for the bound to tell.  It also records the seeds, the run length, the machine
-and, per checkout, its git HEAD and a sha256 of the Python files under src/
-and perfbench/, which names the code that ran even when it is not committed.
+too wide for the bound to tell.  It also records the seeds, the run length,
+the machine and, per checkout, its git HEAD and a sha256 of the Python files
+under src/ and perfbench/, which names the code that ran even when it is not
+committed.
 A run that fails or prints a wrong result is recorded as such, left out of
 the quartiles and counted as a pair not won; the script exits 1 if any did.
 """

@@ -54,15 +54,15 @@ def test_huge_ints_in_error_messages_keep_the_error_type(site):
     assert len(str(exc.value)) > 4300
 
 
-# Arguments of the wrong type, each of which once passed silently or raised
-# TypeError or AttributeError from outside the package.
-_GRID = nbhd.make_grid((4, 4))
-_BLINKER = nbhd.make_grid((5, 5), live_cells=[(2, 1), (2, 2), (2, 3)])
 def _emit_to_spooled_text():
     with tempfile.SpooledTemporaryFile(mode="w+") as sink:
         nbhd.emit_bfile(nbhd.SequenceId.A005843, 3, sink)
 
 
+# Arguments of the wrong type, each of which once passed silently or raised
+# TypeError or AttributeError from outside the package.
+_GRID = nbhd.make_grid((4, 4))
+_BLINKER = nbhd.make_grid((5, 5), live_cells=[(2, 1), (2, 2), (2, 3)])
 WRONG_TYPE_SITES = {
     "contains-float": (nbhd.DomainError, lambda: nbhd.contains(nbhd.moore(2), (1.5, 0))),
     "contains-str": (nbhd.DomainError, lambda: nbhd.contains(nbhd.moore(2), ("a", 0))),
