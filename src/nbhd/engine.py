@@ -42,6 +42,7 @@ import enum
 import functools
 import io
 import math
+import os
 import re
 import warnings
 from collections import Counter, defaultdict
@@ -529,14 +530,26 @@ def load_pattern(source: str | Path | Iterable[str | bytes]) -> np.ndarray:
     comment anywhere on a line and blank lines are ignored, so a file without
     cells gives zero rows.  A bad field, a value outside int64, a component
     count other than the first cell's, or a line that is not text raises
-    ParseError naming the line.
+    ParseError naming the line.  numpy's chunked reader reads a path to a
+    regular local file whose name does not end in .gz, .bz2, .xz or .lzma, so
+    no URL is fetched, no file decompressed and no sibling .gz opened; other
+    paths (a pipe, /dev/stdin) are read through an open text handle.
     """
     if isinstance(source, (str, Path)):
         if "\0" in str(source):  # which open refuses with ValueError
             raise ParseError(f"pattern path {str(source)!r} holds a NUL character")
+        # "./" before a relative path leaves numpy no URL scheme to read and,
+        # unlike abspath, folds no "link/.."; the handle reads what it refuses
+        path = os.path.join(os.curdir, source)
+        if os.path.isfile(path) and not path.endswith(_COMPRESSED):
+            try:
+                return _loadtxt(path, encoding="ascii")
+            except (ValueError, OSError):
+                pass
         try:
             with open(source, "r", encoding="ascii") as handle:
-                return _parse_pattern(handle)
+                # read at once, since a pipe cannot be read again for the errors
+                return _parse_pattern(handle.read().split("\n"))
         except UnicodeDecodeError:
             raise ParseError(f"{source}: pattern file is not ASCII text") from None
     try:
@@ -546,18 +559,13 @@ def load_pattern(source: str | Path | Iterable[str | bytes]) -> np.ndarray:
     return _parse_pattern(lines)
 
 
-def _parse_pattern(lines: IO[str] | list[str | bytes]) -> np.ndarray:
+def _parse_pattern(lines: list[str | bytes]) -> np.ndarray:
     try:
         return _loadtxt(lines)
     except (ValueError, TypeError):  # TypeError: a caller's line that is not text
         pass
-    if isinstance(lines, list):
-        lines = [_text_line(line, lineno) for lineno, line in enumerate(lines, start=1)]
-        text = "\n".join(lines)
-    else:
-        lines.seek(0)
-        text = lines.read()
-        lines = text.split("\n")
+    lines = [_text_line(line, lineno) for lineno, line in enumerate(lines, start=1)]
+    text = "\n".join(lines)
     try:
         # loadtxt reads whitespace before a comment or the line's end as a
         # cell with a bad field; blank such lines, and read a lone '\r' in a
@@ -571,13 +579,14 @@ def _parse_pattern(lines: IO[str] | list[str | bytes]) -> np.ndarray:
     raise ParseError("pattern is not one cell per line")
 
 
-def _loadtxt(source: IO[str] | list[str]) -> np.ndarray:
+def _loadtxt(source: str | IO[str] | list[str], encoding: str | None = None) -> np.ndarray:
     with warnings.catch_warnings():
         # a file without cells is zero rows, not a warning on stderr
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(source, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
+        return np.loadtxt(source, dtype=np.int64, delimiter=",", comments="#", ndmin=2, encoding=encoding)
 
 
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # the suffixes numpy decompresses
 _BLANK_LINE = re.compile(r"^[^\S\n]*(?:#.*)?$", re.MULTILINE)
 _INT64 = np.iinfo(np.int64)
 

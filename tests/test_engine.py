@@ -1,5 +1,10 @@
+import gzip
 import itertools
+import os
+import re
+import threading
 import tracemalloc
+import urllib.request
 import warnings
 from collections import Counter
 
@@ -1087,10 +1092,26 @@ def test_load_pattern_from_lines():
     assert got.tolist() == [list(cell) for cell in sorted(GLIDER)]
 
 
-def test_load_pattern_from_file(tmp_path):
+@pytest.fixture
+def loadtxt_paths(monkeypatch):
+    """Every str that np.loadtxt is handed as its source, in call order."""
+    paths = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        if isinstance(source, str):
+            paths.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return paths
+
+
+def test_load_pattern_from_file(tmp_path, loadtxt_paths):
     path = tmp_path / "p.txt"
     path.write_text("# two cells\n0,0\n2,1\n")
     assert load_pattern(path).tolist() == [[0, 0], [2, 1]]
+    assert loadtxt_paths == [str(path)]  # numpy's chunked reader, by path
 
 
 @pytest.mark.parametrize(
@@ -1128,6 +1149,89 @@ def test_load_pattern_without_cells_is_zero_rows(tmp_path, text):
     path.write_text(text)
     assert load_pattern(path).shape[0] == 0
     assert population(make_grid((4, 4), live_cells=load_pattern(path))) == 0
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_load_pattern_reads_a_compressed_suffix_as_text(tmp_path, loadtxt_paths, suffix):
+    path = tmp_path / f"cells.txt{suffix}"
+    path.write_text("1,2\n3,4\n")
+    assert load_pattern(path).tolist() == [[1, 2], [3, 4]]
+    assert loadtxt_paths == []
+
+
+def test_load_pattern_opens_no_gzipped_sibling(tmp_path):
+    with gzip.open(tmp_path / "cells.txt.gz", "wt") as sibling:
+        sibling.write("1,2\n")
+    with pytest.raises(FileNotFoundError):
+        load_pattern(tmp_path / "cells.txt")
+
+
+def test_load_pattern_fetches_no_url(tmp_path, monkeypatch):
+    def no_network(*args, **kwargs):
+        raise AssertionError("a pattern path was fetched as a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "p.txt").write_text("5,6\n")
+    assert load_pattern("http://host/p.txt").tolist() == [[5, 6]]
+
+
+def test_load_pattern_reads_dot_dot_after_a_link_as_open_does(tmp_path, monkeypatch):
+    (tmp_path / "a" / "real").mkdir(parents=True)
+    (tmp_path / "a" / "p.txt").write_text("1,1\n")
+    (tmp_path / "p.txt").write_text("2,2\n")
+    (tmp_path / "link").symlink_to(tmp_path / "a" / "real")
+    monkeypatch.chdir(tmp_path)
+    assert load_pattern("link/../p.txt").tolist() == [[1, 1]]
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("1,2\n \n3,4\n", [[1, 2], [3, 4]]), ("1,2\nx\n", "line 2: 'x' is not an integer")],
+    ids=["whitespace-line", "bad-line"],
+)
+def test_load_pattern_reads_a_pipe_once(tmp_path, loadtxt_paths, text, want):
+    # loadtxt refuses both, and a pipe cannot be read a second time
+    fifo = tmp_path / "cells.txt"
+    os.mkfifo(fifo)
+    # a daemon, so a writer whose pipe is never opened cannot hang the run
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        if isinstance(want, list):
+            assert load_pattern(fifo).tolist() == want
+        else:
+            with pytest.raises(ParseError, match=re.escape(want)):
+                load_pattern(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert loadtxt_paths == []
+
+
+def test_compressed_suffixes_are_numpys_file_openers():
+    openers = np.lib._datasource._file_openers
+    assert sorted(engine._COMPRESSED) == sorted(key for key in openers.keys() if key is not None)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("dims", [(64, 64), (8,) * 5], ids=["64^2", "8^5"])
+def test_load_pattern_path_and_lines_give_equal_arrays(tmp_path, loadtxt_paths, dims, eol):
+    cells = np.argwhere(np.random.default_rng(len(dims)).random(dims) < 0.3)
+    lines = ["# soup"] + [",".join(map(str, cell)) + (" # note" if i % 7 == 0 else "") for i, cell in enumerate(cells)]
+    path = tmp_path / "soup.txt"
+    path.write_bytes((eol.join(lines) + eol).encode("ascii"))
+    by_path, by_lines = load_pattern(path), load_pattern(lines)
+    assert loadtxt_paths == [str(path)]
+    assert by_path.dtype == by_lines.dtype == np.int64
+    assert np.array_equal(by_path, by_lines) and np.array_equal(by_path, cells)
+
+
+def test_load_pattern_non_ascii_path_names_the_path(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"1,2\n\xff\xfe\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: pattern file is not ASCII text")):
+        load_pattern(path)
 
 
 def test_render_two_dimensional():
