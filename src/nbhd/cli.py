@@ -14,7 +14,7 @@ import sys
 
 from . import counting, engine, sequences
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
-from .neighborhoods import _INTEGER, Family, NeighborhoodSpec, _offset_lines, offset_array
+from .neighborhoods import Family, NeighborhoodSpec, _offset_lines, _read_int, offset_array
 from .neighborhoods import enumerate_offsets  # noqa: F401 -- perfbench/tracing.py wraps the name at this site
 from .verification import run_verification
 
@@ -22,13 +22,10 @@ _ROWS_PER_WRITE = 16384  # enumerate's offsets formatted and written at once
 
 
 def _integer(text: str) -> int:
-    """``[+-]?[0-9]+`` after stripping whitespace, as offsets, patterns and
-    b-files read integers; past int()'s 4300 digits, a usage error too."""
-    try:
-        if _INTEGER.fullmatch(text.strip()):
-            return int(text)
-    except ValueError:
-        pass
+    """``[+-]?[0-9]+`` after stripping whitespace, as all integer text is read;
+    past 4300 digits a usage error, whatever PYTHONINTMAXSTRDIGITS is."""
+    if len(text.strip().lstrip("+-")) <= 4300 and (value := _read_int(text)) is not None:
+        return value
     raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
 
 

@@ -54,8 +54,8 @@ import numpy as np
 
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
 from .neighborhoods import (
-    _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _coordinates, _exact, _expect, _offset_lines, _rows, _text_line,
-    format_term,
+    _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _coordinates, _exact, _expect, _offset_lines, _read_int, _rows,
+    _text_line, format_term,
 )
 
 
@@ -141,10 +141,9 @@ def parse_rule(text: str) -> Rule:
 
     def counts(part: str) -> frozenset[int]:
         fields = part.removesuffix(",").split(",") if "," in part else list(part)
-        try:
-            return frozenset(map(int, fields))
-        except ValueError:
-            raise ParseError(f"bad counts {part!r} in rule {text!r}") from None
+        if None in (values := frozenset(map(_read_int, fields))):
+            raise ParseError(f"bad counts {part!r} in rule {text!r}")
+        return values
 
     return Rule(birth=counts(match.group(1)), survival=counts(match.group(2)))
 
@@ -522,18 +521,18 @@ def run(
 def load_pattern(source: str | Path | Iterable[str | bytes]) -> np.ndarray:
     """Live-cell coordinates from a pattern file, as an (n, d) int64 array.
 
-    ``source`` is a path or the file's lines (str, or ASCII bytes), with no
-    line break but at their end; anything else, or a path holding a NUL,
-    raises ParseError, and a path that cannot be read OSError.  Each line
-    holds one cell as comma-separated integers, each field ``[+-]?[0-9]+``
-    after stripping whitespace and inside the int64 range.  '#' starts a
-    comment anywhere on a line and blank lines are ignored, so a file without
-    cells gives zero rows.  A bad field, a value outside int64, a component
-    count other than the first cell's, or a line that is not text raises
-    ParseError naming the line.  numpy's chunked reader reads a path to a
-    regular local file whose name does not end in .gz, .bz2, .xz or .lzma, so
-    no URL is fetched, no file decompressed and no sibling .gz opened; other
-    paths (a pipe, /dev/stdin) are read through an open text handle.
+    ``source`` is a path or the file's lines (str, or bytes held to ASCII as a
+    file is), with no line break but at their end; anything else, or a path
+    holding a NUL, raises ParseError, and a path that cannot be read OSError.
+    Each line holds one cell as comma-separated integers, each field
+    ``[+-]?[0-9]+`` after stripping whitespace, of any length, in the int64
+    range.  '#' starts a comment anywhere on a line and blank lines are
+    ignored, so a file without cells gives zero rows.  A bad field, a value
+    outside int64, a component count other than the first cell's, or a line
+    that is not text raises ParseError naming the line.  numpy's chunked
+    reader reads a path to a regular local file not named .gz, .bz2, .xz or
+    .lzma, so no URL is fetched, no file decompressed and no sibling .gz
+    opened; other paths (a pipe, /dev/stdin) are read through a text handle.
     """
     if isinstance(source, (str, Path)):
         if "\0" in str(source):  # which open refuses with ValueError
@@ -543,7 +542,7 @@ def load_pattern(source: str | Path | Iterable[str | bytes]) -> np.ndarray:
         path = os.path.join(os.curdir, source)
         if os.path.isfile(path) and not path.endswith(_COMPRESSED):
             try:
-                return _loadtxt(path, encoding="ascii")
+                return _loadtxt(path)
             except (ValueError, OSError):
                 pass
         try:
@@ -579,11 +578,11 @@ def _parse_pattern(lines: list[str | bytes]) -> np.ndarray:
     raise ParseError("pattern is not one cell per line")
 
 
-def _loadtxt(source: str | IO[str] | list[str], encoding: str | None = None) -> np.ndarray:
+def _loadtxt(source: str | IO[str] | list[str | bytes]) -> np.ndarray:
     with warnings.catch_warnings():
         # a file without cells is zero rows, not a warning on stderr
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(source, dtype=np.int64, delimiter=",", comments="#", ndmin=2, encoding=encoding)
+        return np.loadtxt(source, dtype=np.int64, delimiter=",", comments="#", ndmin=2, encoding="ascii")
 
 
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # the suffixes numpy decompresses
@@ -602,8 +601,8 @@ def _check_pattern_lines(lines: Iterable[str]) -> None:
         for field in fields:
             if not _INTEGER.fullmatch(field):
                 raise ParseError(f"line {lineno}: {field!r} is not an integer")
-            # past 19 significant digits no value fits, and int() stops at 4300
-            if len(field.lstrip("+-").lstrip("0")) > 19 or not _INT64.min <= int(field) <= _INT64.max:
+            # past 19 significant digits no value fits, so none is converted
+            if len(field.lstrip("+-").lstrip("0")) > 19 or not _INT64.min <= _read_int(field) <= _INT64.max:
                 raise ParseError(f"line {lineno}: {field} is outside the 64-bit integer range")
         width = width or len(fields)
         if len(fields) != width:

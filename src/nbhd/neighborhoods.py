@@ -50,7 +50,7 @@ DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory st
 DEFAULT_CELL_CAP = 2**28  # grids and padded copies
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
 _BOX_CHUNK = 2**16  # box points decoded at once: a (d, points) int64 array
-_INTEGER = re.compile(r"[+-]?[0-9]+")  # an integer field of offset, pattern and b-file text
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # an integer field of any text the package reads
 
 
 def format_term(value: int) -> str:
@@ -61,6 +61,13 @@ def format_term(value: int) -> str:
         return str(value)
     except ValueError:
         return str(decimal.Decimal(value))
+
+
+def _read_int(field: str) -> int | None:
+    """The inverse of format_term: ``field``, if ``[+-]?[0-9]+`` after stripping
+    whitespace, as an int exact whatever the digit limit, else None."""
+    field = field.strip()
+    return int(decimal.Decimal(field)) if _INTEGER.fullmatch(field) else None
 
 
 def _exact(value) -> str:
@@ -400,14 +407,13 @@ def format_offset(offset: Sequence[int]) -> str:
 
 def parse_offset(text: str) -> Offset:
     """The inverse of ``format_offset``: each comma-separated field is
-    ``[+-]?[0-9]+`` after stripping whitespace, as in pattern files and
-    b-files; anything else, text or not, raises ParseError."""
+    ``[+-]?[0-9]+`` after stripping whitespace, exact at any length, as in
+    pattern files and b-files; anything else, text or not, raises ParseError."""
     if not isinstance(text, str):
         raise ParseError(f"offset must be text, got {type(text).__name__}")
-    fields = [f.strip() for f in text.split(",")]
-    if not all(_INTEGER.fullmatch(f) for f in fields):
+    if None in (values := tuple(map(_read_int, text.split(",")))):
         raise ParseError(f"not a comma-separated integer tuple: {text!r}")
-    return tuple(int(decimal.Decimal(f)) for f in fields)
+    return values
 
 
 def _text_line(raw, lineno: int) -> str:

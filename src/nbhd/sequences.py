@@ -12,7 +12,6 @@ rows of A013609 and A265014 are count's k-radius terms at r = 1, _count_terms.
 
 from __future__ import annotations
 
-import decimal
 import enum
 import io
 import itertools
@@ -21,7 +20,7 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .counting import _count_terms
 from .errors import CapacityError, DomainError, ParseError
-from .neighborhoods import _INTEGER, DEFAULT_TERM_CAP, _as_int, _exact, _expect, _text_line, format_term
+from .neighborhoods import DEFAULT_TERM_CAP, _as_int, _exact, _expect, _read_int, _text_line, format_term
 
 # text of sequence output joined into one write, taken as that many lines of
 # the last length seen: a closed pipe shows at the next write, so this bounds
@@ -141,7 +140,7 @@ def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
 
     Blank lines and '#' comment lines are skipped; a line that is neither str
     nor ASCII bytes, or any other line that is not two integer fields, raises
-    ParseError naming the line number.
+    ParseError naming the line number; terms are exact at any length.
     """
     try:
         lines = enumerate(source, start=1)
@@ -155,10 +154,9 @@ def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
         fields = line.split()
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected 'n a(n)', got {line!r}")
-        if not all(_INTEGER.fullmatch(f) for f in fields):
+        if None in (values := tuple(map(_read_int, fields))):
             raise ParseError(f"line {lineno}: non-integer field in {line!r}")
-        # through Decimal, the inverse of format_term: int(str) stops at 4300 digits
-        entries.append(SequenceEntry(*(int(decimal.Decimal(f)) for f in fields)))
+        entries.append(SequenceEntry(*values))
     return entries
 
 

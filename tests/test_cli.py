@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -22,7 +23,7 @@ from nbhd import verification
 from nbhd.cli import main
 from nbhd.neighborhoods import DEFAULT_TERM_CAP, Family, _box_tally
 from nbhd.sequences import SequenceId, format_term
-from nbhd.errors import DomainError
+from nbhd.errors import DomainError, ParseError
 from nbhd.verification import iter_specs, run_verification
 
 GLIDER_LINES = "1,2\n2,3\n3,1\n3,2\n3,3\n"
@@ -595,6 +596,27 @@ def test_simulate_survives_any_pattern_bytes(pieces, eol):
             assert code == 0
 
 
+@pytest.mark.parametrize("limit, width", [("default", 4301), ("least", 700)])
+def test_simulate_zero_padded_field_then_bad_line_is_one_error_line(capsys, tmp_path, request, limit, width):
+    # the good line's field passes int()'s digit limit through its leading zeros alone
+    if limit == "least":
+        request.getfixturevalue("int_str_limit_640")
+    lines = ["1," + "2".zfill(width), "x"]
+    pattern = tmp_path / "p.txt"
+    pattern.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--dims", "8,8", "--k", "2", "--rule", "B3/S23", "--steps", "1", "--pattern", str(pattern)
+    )
+    assert (code, out, err) == (1, "", "error: line 2: 'x' is not an integer\n")
+    with pytest.raises(ParseError, match="^line 2: 'x' is not an integer$"):
+        load_pattern(lines)
+    # past 19 significant digits a field is refused before it is converted
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="^line 1: 7+ is outside the 64-bit integer range$"):
+        load_pattern(["1," + "7" * 10**6])
+    assert time.perf_counter() - start < 5
+
+
 def test_simulate_checks_the_rule_before_reading_the_pattern(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,
@@ -740,7 +762,7 @@ def test_reused_parser_behaves_like_a_fresh_process(capsys, tmp_path):
         ["sequence", "--id", "A005843", "--terms", "0"],
         ["sequence", "--id", "A005843", "--terms", "-3"],
         # integers follow the offset grammar: no non-ASCII digits, no underscores,
-        # and int()'s 4300-digit limit is a usage error too
+        # and past 4300 digits a usage error, whatever the interpreter's digit limit
         ["count", "--d", "\u0663", "--k", "1"],  # ARABIC-INDIC DIGIT THREE
         ["count", "--d", "1_0", "--k", "1"],
         ["count", "--d", "3", "--k", "1", "--r", "-" + "9" * 5000],
@@ -761,6 +783,21 @@ def test_usage_errors_exit_two(capsys, argv):
 
 def test_integers_may_carry_a_sign_and_whitespace(capsys):
     assert run_cli(capsys, "count", "--d", " +3", "--k", "1") == (0, "6\n", "")
+
+
+def test_integer_flags_do_not_depend_on_the_digit_limit(capsys, request):
+    # int() refuses 700 digits under the least limit; 4300 digits stay the flags' own bound
+    argv = ["count", "--d", "1", "--k", "1", "--r", "7" * 700]
+    want = run_cli(capsys, *argv)
+    assert want == (0, format_term(2 * int("7" * 700)) + "\n", "")
+    for limit in ("default", "least"):
+        if limit == "least":
+            request.getfixturevalue("int_str_limit_640")
+        assert run_cli(capsys, *argv) == want
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--d", "1", "--k", "1", "--r", "7" * 4301])
+        assert exc.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- argv fuzz

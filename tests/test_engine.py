@@ -313,6 +313,14 @@ def test_parse_rule_rejects_garbage(text):
         parse_rule(text)
 
 
+def test_parse_rule_counts_do_not_depend_on_the_digit_limit(request):
+    # int() refuses a 700-digit count under the least limit; parse_rule reads it under both
+    text, want = "B" + "7" * 700 + ",/S", Rule(frozenset({int("7" * 700)}), frozenset())
+    assert parse_rule(text) == want
+    request.getfixturevalue("int_str_limit_640")
+    assert parse_rule(text) == want
+
+
 def test_rule_rejects_negative_counts():
     with pytest.raises(DomainError):
         Rule(frozenset({-1}), frozenset())
@@ -1232,6 +1240,72 @@ def test_load_pattern_non_ascii_path_names_the_path(tmp_path):
     path.write_bytes(b"1,2\n\xff\xfe\n")
     with pytest.raises(ParseError, match=re.escape(f"{path}: pattern file is not ASCII text")):
         load_pattern(path)
+
+
+@pytest.mark.parametrize("lines, lineno", [([b"3,4", b"\xa05,2"], 2), ([b"\x85 3,4"], 1)], ids=["nbsp", "nel"])
+def test_load_pattern_holds_bytes_lines_to_ascii(tmp_path, lines, lineno):
+    # a caller's bytes lines meet the rule a file's bytes meet, as b-file lines do
+    with pytest.raises(ParseError, match=f"^line {lineno}: not ASCII text"):
+        load_pattern(lines)
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match="pattern file is not ASCII text"):
+        load_pattern(path)
+
+
+def _read_pattern(lines):
+    """load_pattern's documented grammar, read in plain Python: the cells as
+    lists, or the number of the line a ParseError must name.  Every line is
+    read as text before any is parsed, so a line that is not ASCII is named
+    first."""
+    texts = []
+    for lineno, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            if not line.isascii():
+                return lineno
+            line = line.decode("ascii")
+        texts.append(line)
+    cells = []
+    for lineno, line in enumerate(texts, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        fields = [field.strip() for field in text.split(",")]
+        if not all(re.fullmatch(r"[+-]?[0-9]+", field) for field in fields):
+            return lineno
+        cell = [int(field) for field in fields]
+        if not all(-(2**63) <= value < 2**63 for value in cell) or (cells and len(cell) != len(cells[0])):
+            return lineno
+        cells.append(cell)
+    return cells
+
+
+# pieces of pattern lines: digits, signs, separators, comments, int64's edges,
+# and the characters that are whitespace to str.strip but not ASCII, or are
+# line breaks to str.splitlines; a '\r' inside a line is not drawn, since
+# load_pattern's lines hold no line break but at their end
+_PATTERN_PIECES = [
+    "0", "1", "7", "00", "-", "+", ",", "#", " ", "\t", "x", "_",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+    "\xa0", "\x85", "\x0b", "\x0c", "\x1c", "\x1f",
+]
+_pattern_lines = st.tuples(
+    st.lists(st.sampled_from(_PATTERN_PIECES), max_size=8).map("".join),
+    st.sampled_from(["", "\n", "\r\n"]),
+    st.booleans(),
+).map(lambda c: (c[0] + c[1]).encode("latin-1") if c[2] else c[0] + c[1])
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(_pattern_lines, max_size=6))
+def test_load_pattern_reads_lines_by_the_documented_grammar(lines):
+    want = _read_pattern(lines)
+    if isinstance(want, list):
+        got = load_pattern(lines)
+        assert got.dtype == np.int64 and got.tolist() == want
+    else:
+        with pytest.raises(ParseError, match=f"^line {want}: "):
+            load_pattern(lines)
 
 
 def test_render_two_dimensional():

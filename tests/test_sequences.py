@@ -128,7 +128,9 @@ def test_parse_reports_line_numbers(line):
         parse_bfile(io.BytesIO(b"0 1\n" + line + b"\n"))
 
 
-@pytest.mark.parametrize("line", [b"1 \xff2", b"# caf\xc3\xa9"], ids=["field", "comment"])
+@pytest.mark.parametrize(
+    "line", [b"1 \xff2", b"# caf\xc3\xa9", b"2 \xa03"], ids=["field", "comment", "nbsp-before-field"]
+)
 def test_non_ascii_lines_are_parse_errors(line):
     with pytest.raises(ParseError, match="line 2: not ASCII"):
         parse_bfile([b"0 0", line])
