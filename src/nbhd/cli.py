@@ -14,7 +14,7 @@ import sys
 
 from . import counting, engine, sequences
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
-from .neighborhoods import Family, NeighborhoodSpec, _offset_lines, _read_int, offset_array
+from .neighborhoods import Family, NeighborhoodSpec, _offset_lines, _read_int, _shown, offset_array
 from .neighborhoods import enumerate_offsets  # noqa: F401 -- perfbench/tracing.py wraps the name at this site
 from .verification import run_verification
 
@@ -26,7 +26,7 @@ def _integer(text: str) -> int:
     past 4300 digits a usage error, whatever PYTHONINTMAXSTRDIGITS is."""
     if len(text.strip().lstrip("+-")) <= 4300 and (value := _read_int(text)) is not None:
         return value
-    raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid integer value: {_shown(text)}")
 
 
 @functools.cache  # parse_args keeps no state in the parser, so one serves every call

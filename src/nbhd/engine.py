@@ -6,7 +6,9 @@ internal evaluation order.  Neighbor counts are taken per offset: on a torus
 smaller than the neighborhood span the same physical cell can be seen through
 several offsets and is counted once per offset.  Boundaries are handled by one
 padded copy of the grid per step (wrapped on a torus, dead cells outside a
-fixed-dead grid), and every count is a sum of views of that copy.
+fixed-dead grid), and every count is a sum of views of that copy.  Each
+array holds its last two axes as one, the padded rows end to end, so that a
+view is one run of whole rows and an add spans dims[-2] rows at a time.
 
 Every offset list is summed one way.  Read axis by axis, the offsets form a
 tree whose nodes are sub-neighbourhoods that many offsets share, and
@@ -55,7 +57,7 @@ import numpy as np
 from .errors import BoundsError, CapacityError, DimensionError, DomainError, ParseError
 from .neighborhoods import (
     _INTEGER, DEFAULT_CELL_CAP, Offset, _as_int, _coordinates, _exact, _expect, _offset_lines, _read_int, _rows,
-    _text_line, format_term,
+    _shown, _text_line, format_term,
 )
 
 
@@ -137,12 +139,12 @@ def parse_rule(text: str) -> Rule:
         raise ParseError(f"rule must be text, got {type(text).__name__}")
     match = re.fullmatch(r"[Bb]([0-9,]*)/[Ss]([0-9,]*)", text.strip())
     if match is None:
-        raise ParseError(f"rule must look like B3/S23, got {text!r}")
+        raise ParseError(f"rule must look like B3/S23, got {_shown(text)}")
 
     def counts(part: str) -> frozenset[int]:
         fields = part.removesuffix(",").split(",") if "," in part else list(part)
         if None in (values := frozenset(map(_read_int, fields))):
-            raise ParseError(f"bad counts {part!r} in rule {text!r}")
+            raise ParseError(f"bad counts {_shown(part)} in rule {_shown(text)}")
         return values
 
     return Rule(birth=counts(match.group(1)), survival=counts(match.group(2)))
@@ -234,20 +236,22 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     n = len(rows)
 
     runs, table = _lookup(rule, n)
-    # count + state per cell, flat in C order whatever the grid's layout; a
-    # block at a time it becomes the key count + (n+1)*state in the key's
-    # wider type, then the next state
-    count, alive = _index(grid, rows).reshape(-1), grid.states.reshape(-1)
-    states = np.empty(count.size, dtype=np.uint8)
-    part = np.empty(min(count.size, _BLOCK), dtype=np.min_scalar_type(2 * n + 1))
-    scratch = np.empty(min(count.size, _BLOCK), dtype=bool)
-    for start in range(0, count.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
+    # count + state per cell as rows of the last axis in C order, whatever
+    # the grid's layout; a block of about _BLOCK cells at a time becomes the
+    # key count + (n+1)*state in the key's wider type, then the next state
+    width = grid.dims[-1] if len(grid.dims) > 1 else 1
+    count, alive = _index(grid, rows).reshape(-1, width), grid.states.reshape(-1, width)
+    states = np.empty(count.shape, dtype=np.uint8)
+    per = max(1, _BLOCK // width)
+    part = np.empty((min(len(count), per), width), dtype=np.min_scalar_type(2 * n + 1))
+    scratch = np.empty(part.size, dtype=bool)
+    for start in range(0, len(count), per):
+        block = slice(start, start + per)
         here = count[block]
-        key = np.multiply(alive[block], n, out=part[: here.size], dtype=part.dtype)
+        key = np.multiply(alive[block], n, out=part[: len(here)], dtype=part.dtype)
         key += here
         if table is None:
-            _test_runs(key, runs, states[block].view(bool), scratch)
+            _test_runs(key.reshape(-1), runs, states[block].reshape(-1).view(bool), scratch)
         else:
             np.take(table, key, out=states[block])
     # states made here are 0 or 1 by construction, so Grid's check of them,
@@ -332,38 +336,50 @@ def _index(grid: Grid, rows: np.ndarray) -> np.ndarray:
     """count + state per cell, of the shape of the grid, for ``rows``, the
     offsets as an (n, d) integer array.
 
-    Runs _count_plan's sums over one padded copy of the grid.  A sum never
-    exceeds count + state <= n + 1, so the sums are made in the narrowest
-    unsigned type that holds n + 1; step widens a block at a time to the
-    key's type as it adds n*state.
+    Runs _count_plan's sums over one padded copy of the grid, each array
+    with its last two axes as one.  The root is added into rows of dims[-1]
+    + 2*reach[-1] cells, and the result views the first dims[-1] of each.  A
+    sum never exceeds count + state <= n + 1, so the sums are made in the
+    narrowest unsigned type that holds n + 1; step widens a block at a time
+    to the key's type as it adds n*state.
     """
     reach, sums = _count_plan(rows.tobytes(), rows.dtype, grid.dims, grid.boundary)
     dtype = np.min_scalar_type(len(rows) + 1)
-    arrays = [_padded(grid, reach)]
+    arrays, out = [_padded(grid, reach)], None
+    arrays[0] = arrays[0].reshape(arrays[0].shape[:-2] + (-1,))
     for views, drops in sums:
         # a view read ``times`` times is added once, multiplied
         terms = (arrays[j][at] if times == 1 else np.multiply(arrays[j][at], times, dtype=dtype)
                  for j, at, times in views)
         first, second = next(terms), next(terms, None)
-        total = first.astype(dtype) if second is None else np.add(first, second, dtype=dtype)
+        if len(arrays) == len(sums):  # the root: its views stop 2*reach[-1] cells short of its rows' end
+            root = np.empty(grid.dims[:-1] + (grid.dims[-1] + 2 * reach[-1],), dtype=dtype)
+            out = root.reshape(root.shape[:-2] + (-1,))[..., : first.shape[-1]]
+        total = np.add(first, 0 if second is None else second, out=out, dtype=dtype)
         for term in terms:
             total += term
         for j in drops:
             arrays[j] = None
         arrays.append(total)
-    return arrays[-1]
+    return root[..., : grid.dims[-1]]
 
 
 def _padded(grid: Grid, reach: Sequence[int]) -> np.ndarray:
-    """The grid padded by reach[i] on each side of axis i: wrapped on a torus,
-    dead cells on a fixed-dead grid."""
-    padded_cells = math.prod(n + 2 * p for n, p in zip(grid.dims, reach))
-    if padded_cells > DEFAULT_CELL_CAP:
-        raise CapacityError(
-            f"padded grid of {padded_cells} cells would exceed the cap of {DEFAULT_CELL_CAP}"
-        )
-    mode = "wrap" if grid.boundary is Boundary.TOROIDAL else "constant"
-    return np.pad(grid.states, [(p, p) for p in reach], mode=mode)
+    """A fresh C-ordered copy of the grid padded by reach[i] on each side of
+    axis i: wrapped on a torus, where reach[i] <= dims[i], and dead cells on
+    a fixed-dead grid."""
+    shape = tuple(n + 2 * p for n, p in zip(grid.dims, reach))
+    if (padded_cells := math.prod(shape)) > DEFAULT_CELL_CAP:
+        raise CapacityError(f"padded grid of {padded_cells} cells would exceed the cap of {DEFAULT_CELL_CAP}")
+    torus = grid.boundary is Boundary.TOROIDAL
+    padded = (np.empty if torus else np.zeros)(shape, dtype=grid.states.dtype)
+    padded[tuple(slice(p, p + n) for n, p in zip(grid.dims, reach))] = grid.states
+    for axis, (n, p) in enumerate(zip(grid.dims, reach) if torus else ()):
+        # each pad copies whole slabs, the earlier axes' pads included
+        lead = (slice(None),) * axis
+        padded[lead + (slice(0, p),)] = padded[lead + (slice(n, n + p),)]
+        padded[lead + (slice(n + p, n + 2 * p),)] = padded[lead + (slice(p, 2 * p),)]
+    return padded
 
 
 @functools.lru_cache(maxsize=8)  # a few lists, grid shapes or boundaries stepped in turn each keep theirs
@@ -391,6 +407,10 @@ def _count_plan(rows: bytes, dtype: np.dtype, dims: tuple[int, ...], boundary: B
     number of ways the offsets read it, then frees the arrays in ``drops``,
     which it is the last to read.  A sum over axes 0..i is cropped on those
     axes and padded on the others; the last sum is the root, count + state.
+    Every array holds its last two axes as one, rows of w = dims[-1] +
+    2*reach[-1] cells end to end, so an index has d - 1 slices: a crop on
+    axis d-2 is a run of whole rows, and a shift on axis d-1 moves the run's
+    start and ends it 2*reach[-1] cells short, past the grid's last row.
     """
     d, n = len(dims), np.array(dims, dtype=np.int64)
     offsets = np.frombuffer(rows, dtype).reshape(-1, d).astype(np.int64)
@@ -471,12 +491,15 @@ def _count_plan(rows: bytes, dtype: np.dtype, dims: tuple[int, ...], boundary: B
     # last axis, so each array comes after those it reads
     array_of = {node: j for j, node in enumerate([0] + [node for node in order if is_sum[node]])}
     sums, last_read = [], {}
+    w, rows = dims[-1] + 2 * reach[-1], math.prod(dims[-2:-1])  # a 1-D grid is one row
     for node in list(array_of)[1:]:
         made = []
         for (child, path), times in views_of(node).items():
-            index = [slice(None)] * d
-            for i, s in path:
-                index[i] = slice(reach[i] + s, reach[i] + s + dims[i])
+            start = {i: reach[i] + s for i, s in path}
+            index = [slice(start[i], start[i] + dims[i]) if i in start else slice(None) for i in range(d - 2)]
+            top = start.get(d - 2, 0) * w + start.get(d - 1, 0)
+            cut = rows * w - 2 * reach[-1] * (d - 1 in start)  # so a shifted run ends in the last row
+            index.append(slice(top, top + cut) if start.keys() & {d - 2, d - 1} else slice(None))
             made.append((array_of[child], tuple(index), times))
             last_read[array_of[child]] = len(sums) + 1
         sums.append(tuple(made))
@@ -536,7 +559,7 @@ def load_pattern(source: str | Path | Iterable[str | bytes]) -> np.ndarray:
     """
     if isinstance(source, (str, Path)):
         if "\0" in str(source):  # which open refuses with ValueError
-            raise ParseError(f"pattern path {str(source)!r} holds a NUL character")
+            raise ParseError(f"pattern path {_shown(str(source))} holds a NUL character")
         # "./" before a relative path leaves numpy no URL scheme to read and,
         # unlike abspath, folds no "link/.."; the handle reads what it refuses
         path = os.path.join(os.curdir, source)
@@ -600,10 +623,10 @@ def _check_pattern_lines(lines: Iterable[str]) -> None:
         fields = [f.strip() for f in text.split(",")]
         for field in fields:
             if not _INTEGER.fullmatch(field):
-                raise ParseError(f"line {lineno}: {field!r} is not an integer")
+                raise ParseError(f"line {lineno}: {_shown(field)} is not an integer")
             # past 19 significant digits no value fits, so none is converted
             if len(field.lstrip("+-").lstrip("0")) > 19 or not _INT64.min <= _read_int(field) <= _INT64.max:
-                raise ParseError(f"line {lineno}: {field} is outside the 64-bit integer range")
+                raise ParseError(f"line {lineno}: {_shown(field, str)} is outside the 64-bit integer range")
         width = width or len(fields)
         if len(fields) != width:
             raise ParseError(f"line {lineno}: {len(fields)} components, the first cell has {width}")

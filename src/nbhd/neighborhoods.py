@@ -29,7 +29,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,8 +45,9 @@ DEFAULT_COUNT_BITS = 2**17  # about 39.5k decimal digits
 DEFAULT_OFFSET_CAP = 2**24  # components, offsets * dimension
 DEFAULT_BOX_CAP = 2**26  # points; scanned in chunks of _BOX_CHUNK, so memory stays bounded
 # a step holds its padded copy and the count plan's partial sums, each padded
-# on the axes not yet summed: about 3 bytes per cell for 1024^2 Life, 7.2 for
-# k_radius(5, 3, 1) on 16^5, 49 for k_radius(8, 4, 1) on a 6^8 torus
+# on the axes not yet summed: a tracemalloc peak of 3.0 bytes per cell for
+# 1024^2 Life, 7.2 for k_radius(5, 3, 1) on 16^5, 49 for k_radius(8, 4, 1)
+# on a 6^8 torus
 DEFAULT_CELL_CAP = 2**28  # grids and padded copies
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
 _BOX_CHUNK = 2**16  # box points decoded at once: a (d, points) int64 array
@@ -86,6 +87,18 @@ def _exact(value) -> str:
         return repr(value)
     except ValueError:
         return f"a {type(value).__name__} holding an int past the digit limit"
+
+
+_SHOWN = 64  # characters of a refused text that an error message shows
+
+
+def _shown(text: str | bytes, form: Callable[[str | bytes], str] = repr) -> str:
+    """``form(text)`` for an error message; past _SHOWN characters, the form
+    of its first _SHOWN followed by "... (N characters)", so that a message
+    stays short however long the refused input is."""
+    if len(text) <= _SHOWN:
+        return form(text)
+    return f"{form(text[:_SHOWN])}... ({_exact(len(text))} characters)"
 
 
 def _as_int(value, name: str) -> int:
@@ -412,7 +425,7 @@ def parse_offset(text: str) -> Offset:
     if not isinstance(text, str):
         raise ParseError(f"offset must be text, got {type(text).__name__}")
     if None in (values := tuple(map(_read_int, text.split(",")))):
-        raise ParseError(f"not a comma-separated integer tuple: {text!r}")
+        raise ParseError(f"not a comma-separated integer tuple: {_shown(text)}")
     return values
 
 
@@ -426,7 +439,7 @@ def _text_line(raw, lineno: int) -> str:
     try:
         return raw.decode("ascii")
     except UnicodeDecodeError:
-        raise ParseError(f"line {lineno}: not ASCII text: {raw!r}") from None
+        raise ParseError(f"line {lineno}: not ASCII text: {_shown(raw)}") from None
 
 
 def _offset_lines(rows: np.ndarray) -> bytes:

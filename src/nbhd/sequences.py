@@ -20,7 +20,7 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .counting import _count_terms
 from .errors import CapacityError, DomainError, ParseError
-from .neighborhoods import DEFAULT_TERM_CAP, _as_int, _exact, _expect, _read_int, _text_line, format_term
+from .neighborhoods import DEFAULT_TERM_CAP, _as_int, _exact, _expect, _read_int, _shown, _text_line, format_term
 
 # text of sequence output joined into one write, taken as that many lines of
 # the last length seen: a closed pipe shows at the next write, so this bounds
@@ -153,9 +153,9 @@ def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise ParseError(f"line {lineno}: expected 'n a(n)', got {line!r}")
+            raise ParseError(f"line {lineno}: expected 'n a(n)', got {_shown(line)}")
         if None in (values := tuple(map(_read_int, fields))):
-            raise ParseError(f"line {lineno}: non-integer field in {line!r}")
+            raise ParseError(f"line {lineno}: non-integer field in {_shown(line)}")
         entries.append(SequenceEntry(*values))
     return entries
 

@@ -612,7 +612,7 @@ def test_simulate_zero_padded_field_then_bad_line_is_one_error_line(capsys, tmp_
         load_pattern(lines)
     # past 19 significant digits a field is refused before it is converted
     start = time.perf_counter()
-    with pytest.raises(ParseError, match="^line 1: 7+ is outside the 64-bit integer range$"):
+    with pytest.raises(ParseError, match=r"^line 1: 7{64}\.\.\. \(1000000 characters\) is outside the 64-bit integer range$"):
         load_pattern(["1," + "7" * 10**6])
     assert time.perf_counter() - start < 5
 
@@ -798,6 +798,58 @@ def test_integer_flags_do_not_depend_on_the_digit_limit(capsys, request):
             main(["count", "--d", "1", "--k", "1", "--r", "7" * 4301])
         assert exc.value.code == 2
         assert "invalid integer value" in capsys.readouterr().err
+
+
+# every reader that names the text it refuses, given "77" and given 10**6
+# sevens in its place: the short text is written whole, as it always was,
+# and the long one as its first 64 characters and its length
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda v: nbhd.parse_rule(f"B{v}x/S"), lambda show, v: f"rule must look like B3/S23, got {show(f'B{v}x/S')}"),
+        (lambda v: nbhd.parse_rule(f"B,,{','.join(v)}/S"),
+         lambda show, v: f"bad counts {show(',,' + ','.join(v))} in rule {show('B,,' + ','.join(v) + '/S')}"),
+        (lambda v: nbhd.parse_offset(f"1,{v}x"), lambda show, v: f"not a comma-separated integer tuple: {show(f'1,{v}x')}"),
+        (lambda v: nbhd.parse_bfile(["1 2", f"2 {v}x"]), lambda show, v: f"line 2: non-integer field in {show(f'2 {v}x')}"),
+        (lambda v: nbhd.parse_bfile([f"2 3 {v}"]), lambda show, v: f"line 1: expected 'n a(n)', got {show(f'2 3 {v}')}"),
+        (lambda v: load_pattern(["1,2", f"1,{v}0000000000000000000"]),
+         lambda show, v: f"line 2: {show(v + '0' * 19, str)} is outside the 64-bit integer range"),
+        (lambda v: load_pattern(["1,2", f"1,{v}x"]), lambda show, v: f"line 2: {show(v + 'x')} is not an integer"),
+        (lambda v: load_pattern([b"1,2", b"\xff" + v.encode()]),
+         lambda show, v: "line 2: not ASCII text: " + show(b"\xff" + v.encode())),
+        (lambda v: load_pattern("a\0" + v), lambda show, v: f"pattern path {show('a' + chr(0) + v)} holds a NUL character"),
+    ],
+    ids=["rule", "rule-counts", "offset", "bfile-field", "bfile-fields", "pattern-range", "pattern-field",
+         "pattern-ascii", "pattern-path"],
+)
+def test_a_refused_text_of_a_million_characters_is_a_short_message(read, message):
+    def whole(text, form=repr):
+        return form(text)
+
+    def clipped(text, form=repr):
+        return f"{form(text[:64])}... ({len(text)} characters)"
+
+    for v, show in [("77", whole), ("7" * 10**6, clipped)]:
+        with pytest.raises(ParseError) as exc:
+            read(v)
+        assert str(exc.value) == message(show, v)
+        assert len(str(exc.value)) < 300
+
+
+def test_a_refused_value_of_a_million_characters_is_one_short_error_line(capsys, tmp_path):
+    pattern = tmp_path / "long.txt"
+    pattern.write_text("1," + "7" * 10**6 + "\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--dims", "4,4", "--k", "2", "--rule", "B3/S23", "--steps", "1", "--pattern", str(pattern)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: 7777") and err.count("\n") == 1 and len(err) < 300
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--d", "1", "--k", "1", "--r", "7" * 10**6])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].startswith("nbhd count: error: argument --r: invalid integer value: '7777")
+    assert len(err) < 1000
 
 
 # ---------------------------------------------------------------- argv fuzz

@@ -655,6 +655,34 @@ def test_padded_copy_past_the_cell_cap_is_capacity_error(monkeypatch):
         assert population(step(make_grid((8, 8), boundary, GLIDER), LIFE, MOORE2)) == 5
 
 
+@st.composite
+def padded_worlds(draw):
+    # 1..5 axes of 1..7 cells, uint8 or bool states in C, Fortran or
+    # transposed layout, and any reach a count plan makes: up to n // 2 on a
+    # torus (its offsets folded), up to n - 1 fixed-dead (farther ones
+    # dropped), and 0 on some axes
+    d = draw(st.integers(1, 5))
+    dims = tuple(draw(st.lists(st.integers(1, 7), min_size=d, max_size=d)))
+    boundary = draw(st.sampled_from(list(Boundary)))
+    reach = tuple(draw(st.integers(0, n // 2 if boundary is Boundary.TOROIDAL else n - 1)) for n in dims)
+    cells = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(dims) < 0.5
+    cells = cells.astype(draw(st.sampled_from([np.uint8, np.bool_])))
+    layout = draw(st.sampled_from(["C", "F", "transposed"]))
+    states = np.ascontiguousarray(cells.T).T if layout == "transposed" else np.array(cells, order=layout)
+    return engine.Grid(dims, states, boundary), reach
+
+
+@settings(deadline=None, max_examples=200)
+@given(world=padded_worlds())
+def test_padded_copy_is_np_pad(world):
+    grid, reach = world
+    got = engine._padded(grid, reach)
+    mode = "wrap" if grid.boundary is Boundary.TOROIDAL else "constant"
+    want = np.pad(grid.states, [(p, p) for p in reach], mode=mode)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------- count plan
 #
 # Every offset list is counted by one plan, which adds each sub-sum that
@@ -705,13 +733,14 @@ def _assert_step_matches_reference(grid, rule, offs):
 
 @st.composite
 def offset_worlds(draw):
-    # 1..3 axes of 1..5 cells; offsets with components -7..7, some from a
-    # neighbourhood (so that they share sub-sums), some at random, with
-    # repeats and the zero offset, in any order
-    d = draw(st.integers(1, 3))
-    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    # 1..5 axes of 1..5 cells (1..3 past 3 axes, which keeps the reference
+    # step small); offsets with components -7..7, some from a neighbourhood
+    # (so that they share sub-sums), some at random, with repeats and the
+    # zero offset, in any order
+    d = draw(st.integers(1, 5))
+    dims = tuple(draw(st.lists(st.integers(1, 5 if d <= 3 else 3), min_size=d, max_size=d)))
     family = draw(st.sampled_from([moore, diamond, narrow_von_neumann]))
-    members = enumerate_offsets(family(d, draw(st.integers(1, 2 if d == 3 else 3))))
+    members = enumerate_offsets(family(d, draw(st.integers(1, 1 if d > 3 else 2 if d == 3 else 3))))
     offs = draw(st.lists(st.sampled_from(members), max_size=len(members), unique=True))
     offs += draw(st.lists(st.tuples(*[st.integers(-7, 7)] * d), max_size=12))
     if offs:
@@ -727,6 +756,39 @@ def offset_worlds(draw):
 def test_index_of_any_offset_list_matches_reference_counts(world, boundary):
     dims, offs, live = world
     _assert_index_matches_reference(make_grid(dims, boundary, sorted(live)), offs)
+
+
+_MOORE2_3 = enumerate_offsets(moore(3))
+
+
+# each array holds its last two axes as one: rows of the padded last axis end
+# to end, a shift on that axis moving a view's start within them
+@pytest.mark.parametrize(
+    "dims, offs",
+    [
+        ((1, 7), MOORE2),
+        ((7, 1), MOORE2),
+        ((4, 1, 5), _MOORE2_3),
+        ((4, 5, 1), _MOORE2_3),
+        ((5, 4, 3), [off for off in _MOORE2_3 if off[-1] == 0]),  # reach 0 on the last axis
+        ((3, 4, 6), [(0, 0, 3), (0, 0, -3), (1, 0, 2), (0, 1, -1), (-1, 2, 1)]),  # 6 // 2 on a torus
+        ((4, 3, 5), [(0, 0, 5), (0, 0, -7), (1, 0, 1), (0, 2, -2), (3, 0, 4)]),  # fixed-dead drops the far two
+    ],
+    ids=["rows-1", "row-of-1", "3d-rows-1", "3d-row-of-1", "last-reach-0", "last-reach-half", "far-dropped"],
+)
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_merged_row_edges_match_reference_oracle(dims, offs, boundary):
+    rule = Rule(frozenset({1, 2}), frozenset({0, 2, 3}))
+    _assert_step_matches_reference(_soup(dims, boundary), rule, offs)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_a_stepped_grid_steps_by_a_list_of_another_last_axis_reach(boundary):
+    # the stepped grid's states are fresh rows of the last axis, read again
+    # through a plan whose rows are wider
+    rule = Rule(frozenset({1, 2}), frozenset({0, 2, 3}))
+    once = step(_soup((5, 4, 6), boundary), rule, _MOORE2_3)
+    _assert_step_matches_reference(once, rule, [(0, 0, 2), (0, 0, -3), (0, 1, 0), (1, 0, 0), (1, -1, 1)])
 
 
 @pytest.mark.parametrize(
@@ -908,23 +970,29 @@ def test_k_radius_lists_where_the_count_type_widens_match_reference_oracle(spec,
 
 
 @pytest.mark.parametrize(
-    "spec, dims, bound",
+    "spec, dims, boundary, bound",
     [
-        (moore(2), (1024, 1024), 5),
-        (k_radius(5, 3, 1), (16,) * 5, 8),
-        (diamond(2, 5), (512, 512), 6.8),
-        (diamond(3, 3), (64,) * 3, 7.6),
+        (moore(2), (1024, 1024), Boundary.TOROIDAL, 5),
+        (k_radius(5, 3, 1), (16,) * 5, Boundary.TOROIDAL, 8),
+        (diamond(2, 5), (512, 512), Boundary.TOROIDAL, 6.8),
+        (diamond(3, 3), (64,) * 3, Boundary.TOROIDAL, 7.6),
+        (k_radius(5, 3, 1), (16,) * 5, Boundary.FIXED_DEAD, 8),
+        (moore(2, 5), (256, 256), Boundary.FIXED_DEAD, 4.5),
     ],
-    ids=["life-1024^2", "k3-16^5", "diamond5-512^2", "diamond3d-64^3"],
+    ids=["life-1024^2", "k3-16^5", "diamond5-512^2", "diamond3d-64^3", "k3-16^5-dead", "moore5-256^2-dead"],
 )
-def test_step_memory_per_cell(spec, dims, bound):
+def test_step_memory_per_cell(spec, dims, boundary, bound):
     # the padded copy, the plan's sums, the next grid and the gather's
     # intp blocks, as tracemalloc sees numpy's buffers; k3's uint8 sums peak
     # at 7.2 bytes per cell (12.6 in uint16), bounded at 8 for 10% margin;
     # the diamonds, whose widest segment is added in the root with no array
-    # of its own, at 6.2 and 7.0, bounded at 6.8 and 7.6
+    # of its own, at 6.2 and 7.0, bounded at 6.8 and 7.6; fixed-dead, k3 at
+    # 7.2 and Moore-5 at 4.06 before the sums held their rows end to end, so
+    # bounded at 8 and 4.5 (4.23 since, 0.04 from the root's wider rows and
+    # about 9 kB, 0.14 per cell here, from numpy's buffer for the lookup's
+    # add of the root's spaced rows)
     offs = enumerate_offsets(spec)
-    grid = _soup(dims, Boundary.TOROIDAL)
+    grid = _soup(dims, boundary)
     step(grid, LIFE, offs)  # the plan
     tracemalloc.start()
     try:
