@@ -358,6 +358,7 @@ def _index(grid: Grid, rows: np.ndarray) -> np.ndarray:
         total = np.add(first, 0 if second is None else second, out=out, dtype=dtype)
         for term in terms:
             total += term
+        first = second = term = None  # views of the arrays dropped next, which they would keep alive
         for j in drops:
             arrays[j] = None
         arrays.append(total)
@@ -491,14 +492,14 @@ def _count_plan(rows: bytes, dtype: np.dtype, dims: tuple[int, ...], boundary: B
     # last axis, so each array comes after those it reads
     array_of = {node: j for j, node in enumerate([0] + [node for node in order if is_sum[node]])}
     sums, last_read = [], {}
-    w, rows = dims[-1] + 2 * reach[-1], math.prod(dims[-2:-1])  # a 1-D grid is one row
+    w, height = dims[-1] + 2 * reach[-1], math.prod(dims[-2:-1])  # a 1-D grid is one row of w
     for node in list(array_of)[1:]:
         made = []
         for (child, path), times in views_of(node).items():
             start = {i: reach[i] + s for i, s in path}
             index = [slice(start[i], start[i] + dims[i]) if i in start else slice(None) for i in range(d - 2)]
             top = start.get(d - 2, 0) * w + start.get(d - 1, 0)
-            cut = rows * w - 2 * reach[-1] * (d - 1 in start)  # so a shifted run ends in the last row
+            cut = height * w - 2 * reach[-1] * (d - 1 in start)  # so a shifted run ends in the last row
             index.append(slice(top, top + cut) if start.keys() & {d - 2, d - 1} else slice(None))
             made.append((array_of[child], tuple(index), times))
             last_read[array_of[child]] = len(sums) + 1
