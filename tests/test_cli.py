@@ -612,7 +612,8 @@ def test_simulate_zero_padded_field_then_bad_line_is_one_error_line(capsys, tmp_
         load_pattern(lines)
     # past 19 significant digits a field is refused before it is converted
     start = time.perf_counter()
-    with pytest.raises(ParseError, match=r"^line 1: 7{64}\.\.\. \(1000000 characters\) is outside the 64-bit integer range$"):
+    clipped = r"7{64}\.\.\. \(1000000 characters\)"
+    with pytest.raises(ParseError, match=rf"^line 1: {clipped} is outside the 64-bit integer range$"):
         load_pattern(["1," + "7" * 10**6])
     assert time.perf_counter() - start < 5
 
@@ -809,15 +810,19 @@ def test_integer_flags_do_not_depend_on_the_digit_limit(capsys, request):
         (lambda v: nbhd.parse_rule(f"B{v}x/S"), lambda show, v: f"rule must look like B3/S23, got {show(f'B{v}x/S')}"),
         (lambda v: nbhd.parse_rule(f"B,,{','.join(v)}/S"),
          lambda show, v: f"bad counts {show(',,' + ','.join(v))} in rule {show('B,,' + ','.join(v) + '/S')}"),
-        (lambda v: nbhd.parse_offset(f"1,{v}x"), lambda show, v: f"not a comma-separated integer tuple: {show(f'1,{v}x')}"),
-        (lambda v: nbhd.parse_bfile(["1 2", f"2 {v}x"]), lambda show, v: f"line 2: non-integer field in {show(f'2 {v}x')}"),
-        (lambda v: nbhd.parse_bfile([f"2 3 {v}"]), lambda show, v: f"line 1: expected 'n a(n)', got {show(f'2 3 {v}')}"),
+        (lambda v: nbhd.parse_offset(f"1,{v}x"),
+         lambda show, v: f"not a comma-separated integer tuple: {show(f'1,{v}x')}"),
+        (lambda v: nbhd.parse_bfile(["1 2", f"2 {v}x"]),
+         lambda show, v: f"line 2: non-integer field in {show(f'2 {v}x')}"),
+        (lambda v: nbhd.parse_bfile([f"2 3 {v}"]),
+         lambda show, v: f"line 1: expected 'n a(n)', got {show(f'2 3 {v}')}"),
         (lambda v: load_pattern(["1,2", f"1,{v}0000000000000000000"]),
          lambda show, v: f"line 2: {show(v + '0' * 19, str)} is outside the 64-bit integer range"),
         (lambda v: load_pattern(["1,2", f"1,{v}x"]), lambda show, v: f"line 2: {show(v + 'x')} is not an integer"),
         (lambda v: load_pattern([b"1,2", b"\xff" + v.encode()]),
          lambda show, v: "line 2: not ASCII text: " + show(b"\xff" + v.encode())),
-        (lambda v: load_pattern("a\0" + v), lambda show, v: f"pattern path {show('a' + chr(0) + v)} holds a NUL character"),
+        (lambda v: load_pattern("a\0" + v),
+         lambda show, v: f"pattern path {show('a' + chr(0) + v)} holds a NUL character"),
     ],
     ids=["rule", "rule-counts", "offset", "bfile-field", "bfile-fields", "pattern-range", "pattern-field",
          "pattern-ascii", "pattern-path"],

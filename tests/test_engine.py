@@ -758,7 +758,7 @@ def test_index_of_any_offset_list_matches_reference_counts(world, boundary):
     _assert_index_matches_reference(make_grid(dims, boundary, sorted(live)), offs)
 
 
-_MOORE2_3 = enumerate_offsets(moore(3))
+_MOORE3 = enumerate_offsets(moore(3))
 
 
 # each array holds its last two axes as one: rows of the padded last axis end
@@ -768,9 +768,9 @@ _MOORE2_3 = enumerate_offsets(moore(3))
     [
         ((1, 7), MOORE2),
         ((7, 1), MOORE2),
-        ((4, 1, 5), _MOORE2_3),
-        ((4, 5, 1), _MOORE2_3),
-        ((5, 4, 3), [off for off in _MOORE2_3 if off[-1] == 0]),  # reach 0 on the last axis
+        ((4, 1, 5), _MOORE3),
+        ((4, 5, 1), _MOORE3),
+        ((5, 4, 3), [off for off in _MOORE3 if off[-1] == 0]),  # reach 0 on the last axis
         ((3, 4, 6), [(0, 0, 3), (0, 0, -3), (1, 0, 2), (0, 1, -1), (-1, 2, 1)]),  # 6 // 2 on a torus
         ((4, 3, 5), [(0, 0, 5), (0, 0, -7), (1, 0, 1), (0, 2, -2), (3, 0, 4)]),  # fixed-dead drops the far two
     ],
@@ -787,7 +787,7 @@ def test_a_stepped_grid_steps_by_a_list_of_another_last_axis_reach(boundary):
     # the stepped grid's states are fresh rows of the last axis, read again
     # through a plan whose rows are wider
     rule = Rule(frozenset({1, 2}), frozenset({0, 2, 3}))
-    once = step(_soup((5, 4, 6), boundary), rule, _MOORE2_3)
+    once = step(_soup((5, 4, 6), boundary), rule, _MOORE3)
     _assert_step_matches_reference(once, rule, [(0, 0, 2), (0, 0, -3), (0, 1, 0), (1, 0, 0), (1, -1, 1)])
 
 
@@ -883,7 +883,6 @@ def test_permuted_moore_lists_match_reference_counts(boundary):
     assert step(grid, LIFE, [list(off) for off in offs]) == step(grid, LIFE, offs)
 
 
-_MOORE3 = enumerate_offsets(moore(3))
 _NEAR_MISSES = {
     "duplicated": _MOORE3 + [_MOORE3[5]],
     "duplicate-in-place": [_MOORE3[1]] + _MOORE3[1:],
