@@ -25,7 +25,7 @@ or a few worlds stepped in turn, make each once.
 A cell's next state depends on its key count + (|N|+1)*state.  The plan's
 sums make count + state <= |N| + 1 in the narrowest unsigned type that
 holds it (uint8 up to |N| = 254, uint16 up to 65534, uint32 above), and a
-block of cells at a time widens to the type of the largest key 2|N| + 1
+tile of cells at a time widens to the type of the largest key 2|N| + 1
 (uint8 up to |N| = 127, uint16 up to 32767) as it adds |N|*state.  Birth
 counts are keys 0..|N| and survival counts keys |N|+1..2|N|+1, so a rule
 that is a span of birth counts and one of survival counts, as most are, is
@@ -131,9 +131,9 @@ def parse_rule(text: str) -> Rule:
     """Parse 'B3/S23' style rules.
 
     Without commas every character is a single-digit count; with commas the
-    counts are read as comma-separated integers ('B3,12/S0,15'), which allows
-    counts above 9 for large neighborhoods.  Such a part may end in one comma,
-    so a lone count above 9 is written 'B12,/S'.
+    counts are comma-separated integers ('B3,12/S0,15') of up to 39457 digits
+    (CapacityError past them), so large neighborhoods' counts above 9 can be
+    written.  A part may end in one comma: 'B12,/S' is a lone birth count 12.
     """
     if not isinstance(text, str):
         raise ParseError(f"rule must be text, got {type(text).__name__}")
@@ -236,24 +236,24 @@ def step(grid: Grid, rule: Rule, offsets: Sequence[Offset] | np.ndarray) -> Grid
     n = len(rows)
 
     runs, table = _lookup(rule, n)
-    # count + state per cell as rows of the last axis in C order, whatever
-    # the grid's layout; a block of about _BLOCK cells at a time becomes the
-    # key count + (n+1)*state in the key's wider type, then the next state
-    width = grid.dims[-1] if len(grid.dims) > 1 else 1
+    # count + state as rows of the last axis in C order, whatever the grid's
+    # layout (a 1-D grid is one row); a tile of at most _BLOCK cells, whole rows
+    # or a piece of one, becomes the key count + (n+1)*state, then the next state
+    width = grid.dims[-1]
     count, alive = _index(grid, rows).reshape(-1, width), grid.states.reshape(-1, width)
     states = np.empty(count.shape, dtype=np.uint8)
-    per = max(1, _BLOCK // width)
-    part = np.empty((min(len(count), per), width), dtype=np.min_scalar_type(2 * n + 1))
-    scratch = np.empty(part.size, dtype=bool)
-    for start in range(0, len(count), per):
-        block = slice(start, start + per)
-        here = count[block]
-        key = np.multiply(alive[block], n, out=part[: len(here)], dtype=part.dtype)
+    tall, wide = max(1, _BLOCK // width), min(width, _BLOCK)
+    part = np.empty((min(len(count), tall), wide), dtype=np.min_scalar_type(2 * n + 1))
+    scratch = np.empty(part.shape, dtype=bool)
+    for tile in [(slice(top, top + tall), slice(left, left + wide))
+                 for top in range(0, len(count), tall) for left in range(0, width, wide)]:
+        here = count[tile]
+        key = np.multiply(alive[tile], n, out=part[: len(here), : here.shape[1]], dtype=part.dtype)
         key += here
         if table is None:
-            _test_runs(key.reshape(-1), runs, states[block].reshape(-1).view(bool), scratch)
+            _test_runs(key, runs, states[tile].view(bool), scratch[: len(here), : here.shape[1]])
         else:
-            np.take(table, key, out=states[block])
+            np.take(table, key, out=states[tile])
     # states made here are 0 or 1 by construction, so Grid's check of them,
     # a pass over every cell (about 3% of a 1024^2 Life step), is skipped
     stepped = copy.copy(grid)
@@ -293,9 +293,9 @@ def _lookup(rule: Rule, n: int) -> tuple[list[list[int]], np.ndarray | None]:
 
     A cell comes out live iff its key count + (n+1)*state is a birth count
     or n + 1 past a survival count.  Up to _MAX_RUNS runs of such keys, step
-    tests a block of keys run by run, and ``table`` is None; past it, it
+    tests a tile of keys run by run, and ``table`` is None; past it, it
     gathers the next state from ``table`` with np.take, which first casts
-    each block of keys to intp.
+    each tile of keys to intp.
     """
     live = sorted(rule.birth | {n + 1 + c for c in rule.survival})
     runs: list[list[int]] = []  # maximal runs [a, b] of consecutive live keys
@@ -314,7 +314,7 @@ def _lookup(rule: Rule, n: int) -> tuple[list[list[int]], np.ndarray | None]:
 
 def _test_runs(key: np.ndarray, runs: Sequence[Sequence[int]], live: np.ndarray, scratch: np.ndarray) -> None:
     """live = key is in one of ``runs``, sorted disjoint [a, b]; ``key`` is
-    overwritten, and ``scratch`` is a bool array at least as long.
+    overwritten, and ``live`` and ``scratch`` are bool arrays of its shape.
 
     In the key's unsigned type key - a wraps below a, so one compare
     (key - a) <= b - a tests a run.  Each run subtracts its start less the
@@ -322,14 +322,14 @@ def _test_runs(key: np.ndarray, runs: Sequence[Sequence[int]], live: np.ndarray,
     """
     if not runs:
         live[...] = False
-    other, below = scratch[: key.size], 0
+    below = 0
     for i, (a, b) in enumerate(runs):
         if a != below:
             key -= a - below
             below = a
-        np.less_equal(key, b - a, out=other if i else live)
+        np.less_equal(key, b - a, out=scratch if i else live)
         if i:
-            live |= other
+            live |= scratch
 
 
 def _index(grid: Grid, rows: np.ndarray) -> np.ndarray:
@@ -340,7 +340,7 @@ def _index(grid: Grid, rows: np.ndarray) -> np.ndarray:
     with its last two axes as one.  The root is added into rows of dims[-1]
     + 2*reach[-1] cells, and the result views the first dims[-1] of each.  A
     sum never exceeds count + state <= n + 1, so the sums are made in the
-    narrowest unsigned type that holds n + 1; step widens a block at a time
+    narrowest unsigned type that holds n + 1; step widens a tile at a time
     to the key's type as it adds n*state.
     """
     reach, sums = _count_plan(rows.tobytes(), rows.dtype, grid.dims, grid.boundary)

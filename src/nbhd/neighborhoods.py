@@ -26,6 +26,7 @@ import decimal
 import enum
 import functools
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -52,6 +53,10 @@ DEFAULT_CELL_CAP = 2**28  # grids and padded copies
 DEFAULT_TERM_CAP = 2**16  # A024023 alone holds about 0.24 * N**2 digits for N terms
 _BOX_CHUNK = 2**16  # box points decoded at once: a (d, points) int64 array
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # an integer field of any text the package reads
+# the digits of 2**DEFAULT_COUNT_BITS, 39457, by logarithm as str refuses so
+# long an int; longer integer text is refused unconverted, since Decimal's
+# conversion to int takes time quadratic in the digits
+_MAX_DIGITS = math.floor(DEFAULT_COUNT_BITS * math.log10(2)) + 1
 
 
 def format_term(value: int) -> str:
@@ -66,9 +71,14 @@ def format_term(value: int) -> str:
 
 def _read_int(field: str) -> int | None:
     """The inverse of format_term: ``field``, if ``[+-]?[0-9]+`` after stripping
-    whitespace, as an int exact whatever the digit limit, else None."""
+    whitespace, as an int exact whatever the digit limit, else None; past
+    _MAX_DIGITS significant digits CapacityError, before any conversion."""
     field = field.strip()
-    return int(decimal.Decimal(field)) if _INTEGER.fullmatch(field) else None
+    if not _INTEGER.fullmatch(field):
+        return None
+    if (digits := len(field.lstrip("+-").lstrip("0"))) > _MAX_DIGITS:
+        raise CapacityError(f"integer of {digits} digits would exceed the cap of {_MAX_DIGITS}")
+    return int(decimal.Decimal(field))
 
 
 def _exact(value) -> str:
@@ -420,8 +430,9 @@ def format_offset(offset: Sequence[int]) -> str:
 
 def parse_offset(text: str) -> Offset:
     """The inverse of ``format_offset``: each comma-separated field is
-    ``[+-]?[0-9]+`` after stripping whitespace, exact at any length, as in
-    pattern files and b-files; anything else, text or not, raises ParseError."""
+    ``[+-]?[0-9]+`` after stripping whitespace, exact to 39457 significant
+    digits, as in pattern files and b-files; anything else, text or not,
+    raises ParseError, and a longer field CapacityError."""
     if not isinstance(text, str):
         raise ParseError(f"offset must be text, got {type(text).__name__}")
     if None in (values := tuple(map(_read_int, text.split(",")))):

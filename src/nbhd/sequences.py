@@ -140,7 +140,8 @@ def parse_bfile(source: Iterable[bytes] | Iterable[str]) -> list[SequenceEntry]:
 
     Blank lines and '#' comment lines are skipped; a line that is neither str
     nor ASCII bytes, or any other line that is not two integer fields, raises
-    ParseError naming the line number; terms are exact at any length.
+    ParseError naming the line number; terms are exact to 39457 significant
+    digits, and a longer field raises CapacityError.
     """
     try:
         lines = enumerate(source, start=1)

@@ -977,8 +977,13 @@ def test_k_radius_lists_where_the_count_type_widens_match_reference_oracle(spec,
         (diamond(3, 3), (64,) * 3, Boundary.TOROIDAL, 7.6),
         (k_radius(5, 3, 1), (16,) * 5, Boundary.FIXED_DEAD, 8),
         (moore(2, 5), (256, 256), Boundary.FIXED_DEAD, 4.5),
+        (moore(2), (1, 2**20), Boundary.FIXED_DEAD, 2.5),
+        (k_radius(8, 4, 1), (6,) * 8, Boundary.TOROIDAL, 54),
     ],
-    ids=["life-1024^2", "k3-16^5", "diamond5-512^2", "diamond3d-64^3", "k3-16^5-dead", "moore5-256^2-dead"],
+    ids=[
+        "life-1024^2", "k3-16^5", "diamond5-512^2", "diamond3d-64^3", "k3-16^5-dead", "moore5-256^2-dead",
+        "life-1x2^20-dead", "k4-6^8",
+    ],
 )
 def test_step_memory_per_cell(spec, dims, boundary, bound):
     # the padded copy, the plan's sums, the next grid and the gather's
@@ -989,7 +994,10 @@ def test_step_memory_per_cell(spec, dims, boundary, bound):
     # 7.2 and Moore-5 at 4.06 before the sums held their rows end to end, so
     # bounded at 8 and 4.5 (4.23 since, 0.04 from the root's wider rows and
     # about 9 kB, 0.14 per cell here, from numpy's buffer for the lookup's
-    # add of the root's spaced rows)
+    # add of the root's spaced rows); Life on one fixed-dead row of 2^20
+    # cells at 2.13, bounded at 2.5 (4.00 when a row longer than _BLOCK was
+    # looked up whole); k4 on the 6^8 torus, 1696 offsets whose sums stay
+    # padded on the axes not yet summed, at 49.4, bounded at 54
     offs = enumerate_offsets(spec)
     grid = _soup(dims, boundary)
     step(grid, LIFE, offs)  # the plan
@@ -1109,6 +1117,26 @@ def test_130_offsets_step_over_several_blocks_as_the_reference(monkeypatch, boun
     shapes = _rule_shapes(len(offs))
     for name in ("single", "over"):
         _assert_step_matches_reference(grid, shapes[name][0], offs)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_rows_longer_than_a_tile_step_in_pieces_as_the_reference(monkeypatch, boundary):
+    # with tiles of 8 cells a row of 20 is looked up in pieces of 8, 8 and 4,
+    # and a 1-D grid is one such row; a 2-run rule tests runs, a 7-run one gathers
+    monkeypatch.setattr(engine, "_BLOCK", 8)
+    tiles = []
+    test_runs = engine._test_runs
+    monkeypatch.setattr(
+        engine, "_test_runs", lambda key, runs, *rest: tiles.append(key.shape) or test_runs(key, runs, *rest)
+    )
+    for dims, spec in [((3, 20), moore(2)), ((20,), moore(1, 4)), ((2, 3, 20), moore(3))]:
+        offs = enumerate_offsets(spec)
+        grid = _soup(dims, boundary)
+        shapes = _rule_shapes(len(offs))
+        for name in ("single", "over"):
+            tiles.clear()
+            _assert_step_matches_reference(grid, shapes[name][0], offs)
+            assert tiles == ([(1, 8), (1, 8), (1, 4)] * (grid.states.size // 20) if name == "single" else []), dims
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))

@@ -2,6 +2,7 @@ import inspect
 import io
 import pathlib
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +145,28 @@ def test_text_readers_name_the_line_that_is_not_text():
         nbhd.load_pattern(["1,2", b"3,4", None])
     with pytest.raises(nbhd.ParseError, match="^line 2: not ASCII text"):
         nbhd.load_pattern([b"1,2", b"\xff"])
+
+
+def test_integer_text_past_the_count_cap_is_refused_unconverted():
+    # a field of more significant digits than 2**DEFAULT_COUNT_BITS has is
+    # refused before its conversion, which takes time quadratic in the digits
+    # (about 34 s for a rule count of a million digits)
+    sevens = "7" * 10**6
+    for read in (
+        lambda: nbhd.parse_rule("B" + sevens + ",/S"),
+        lambda: nbhd.parse_offset(sevens),
+        lambda: nbhd.parse_bfile([b"1 " + sevens.encode("ascii")]),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(nbhd.CapacityError, match="^integer of 1000000 digits would exceed the cap of 39457$"):
+            read()
+        assert time.perf_counter() - start < 1
+    # 2**DEFAULT_COUNT_BITS has 39457 digits, and so many still read exactly,
+    # with a sign and leading zeros, which are not counted
+    assert nbhd.parse_offset("-000" + "9" * 39457) == (-(10**39457 - 1),)
+    assert nbhd.parse_bfile(["1 " + "9" * 39457]) == [(1, 10**39457 - 1)]
+    with pytest.raises(nbhd.CapacityError):
+        nbhd.parse_offset("1" + "0" * 39457)
 
 
 def test_flags_are_stored_as_python_bools():
